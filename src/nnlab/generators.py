@@ -509,6 +509,17 @@ class Realization:
     meta: dict
 
 
+# Shifts are drawn as int64 values in [0, 2^n), so the level n stops at 63.
+MAX_LEVEL = 63
+
+
+def _level(params: dict) -> int:
+    n = params.get("n", 30)
+    if type(n) is not int or not 0 <= n <= MAX_LEVEL:
+        raise SpecError(f"level n must be an integer from 0 to {MAX_LEVEL}, got {n!r}")
+    return n
+
+
 class GeneratorSpec:
     """JSON-round-trippable description of a random graph model."""
 
@@ -581,7 +592,7 @@ class GeneratorSpec:
             g = gen_zerner_merkl(p["L"], rng)
             return Realization(g, None, {})
         if self.variant == "dyadic":
-            n = p.get("n", 30)
+            n = _level(p)
             window = p["window"]
             Z = tuple(p["Z"]) if "Z" in p else sample_dyadic_shift(n, window, rng)
             return Realization(gen_dyadic_window(n, Z, window), None, {"Z": Z})
@@ -602,7 +613,7 @@ class GeneratorSpec:
                 raise SpecError(f"unknown layered mode {mode!r}")
             return Realization(g, None, {"mode": mode})
         if self.variant == "finite_k":
-            g = gen_finite_k(p["k"], p.get("n", 30), p["window"], rng)
+            g = gen_finite_k(p["k"], _level(p), p["window"], rng)
             return Realization(g, None, dict(g.meta))
         if self.variant == "type_c":
             inner = p["base"].build(seed)

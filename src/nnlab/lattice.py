@@ -67,6 +67,26 @@ class _DomainBase:
         grids = np.indices(self.shape).reshape(self.d, -1)
         return (grids.T + np.asarray(self._lo, dtype=np.int64)).astype(np.int64)
 
+    def coords_index(self, coords) -> np.ndarray:
+        """Flat indices of a sequence of integer sites; the inverse of index_coords.
+
+        Raises DomainError unless every entry is a site of this domain.
+        """
+        try:
+            c = np.asarray(coords)
+        except ValueError:
+            raise DomainError(f"sites of {self} need {self.d} integer coordinates each") from None
+        if c.size == 0:
+            return np.zeros(0, dtype=np.int64)
+        if c.dtype.kind not in "iu" or c.ndim != 2 or c.shape[1] != self.d:
+            raise DomainError(f"sites of {self} need {self.d} integer coordinates each")
+        rel = c.astype(np.int64) - np.asarray(self._lo, dtype=np.int64)
+        outside = np.any((rel < 0) | (rel >= np.asarray(self.shape)), axis=1)
+        if outside.any():
+            bad = tuple(int(t) for t in c[np.argmax(outside)])
+            raise DomainError(f"site {bad} not in {self}")
+        return rel @ flat_strides(self.shape)
+
     def sites(self) -> Iterator[Site]:
         for i in range(self.n_sites):
             yield self.index_site(i)
@@ -143,17 +163,27 @@ class _DomainBase:
     def edge_slot(self, e: UEdge) -> tuple:
         """Map a canonical edge to its (base-site flat index, axis) storage slot."""
         a, b = e
-        ia = self.site_index(a)
+        base, axis = self.edge_slots([self.site_index(a)], [self.site_index(b)])
+        return int(base[0]), int(axis[0])
+
+    def edge_slots(self, a, b) -> tuple:
+        """Vectorized edge_slot over flat index arrays: the (base, axis) slot of
+        each edge {a[k], b[k]}, in either endpoint order."""
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        base = np.full(len(a), -1, dtype=np.int64)
+        axis = np.full(len(a), -1, dtype=np.int64)
         for ax in range(self.d):
-            j = self.neighbor_index(ax, +1)[ia]
-            if j >= 0 and self.index_site(int(j)) == b:
-                return ia, ax
-        ib = self.site_index(b)
-        for ax in range(self.d):
-            j = self.neighbor_index(ax, +1)[ib]
-            if j >= 0 and self.index_site(int(j)) == a:
-                return ib, ax
-        raise DomainError(f"{e} is not an edge of {self}")
+            fwd = self.neighbor_index(ax, +1)
+            for lo, hi in ((a, b), (b, a)):
+                m = fwd[lo] == hi
+                base[m] = lo[m]
+                axis[m] = ax
+        if np.any(axis < 0):
+            k = int(np.argmax(axis < 0))
+            e = (self.index_site(int(a[k])), self.index_site(int(b[k])))
+            raise DomainError(f"{e} is not an edge of {self}")
+        return base, axis
 
 
 class Box(_DomainBase):

@@ -38,8 +38,7 @@ class OutMap:
             self._out = out.astype(np.int64, copy=True)
         else:
             self._out = np.full(n, -1, dtype=np.int64)
-            for x, y in out.items():
-                self.set_out(x, y)
+            self._out[dom.coords_index(list(out))] = dom.coords_index(list(out.values()))
         self._check_targets()
 
     def _check_targets(self):
@@ -81,11 +80,14 @@ class OutMap:
             self._out[i] = self.dom.site_index(y)
 
     def items(self) -> Iterator[tuple]:
-        for i in np.where(self._out >= 0)[0]:
-            yield self.dom.index_site(int(i)), self.dom.index_site(int(self._out[i]))
+        for i, j in zip(*self.edge_arrays()):
+            yield self.dom.index_site(int(i)), self.dom.index_site(int(j))
 
-    def directed_edges(self) -> list:
-        return sorted(self.items())
+    def edge_arrays(self) -> tuple:
+        """(src, dst) flat index arrays of every directed edge, ordered by source;
+        flat-index order is lexicographic order on sites."""
+        src = np.flatnonzero(self._out >= 0)
+        return src, self._out[src]
 
     @property
     def n_edges(self) -> int:
@@ -573,7 +575,10 @@ def verify_all_components(g: OutMap, w=None, labeling: Optional[ComponentLabelin
 
     On a Box, only components made entirely of interior sites are judged (the
     boundary truncates argmins, so the theorem's description need not hold
-    there)."""
+    there).  On a Torus, components that wind are left out, as in
+    ``PreconditionReport.ok``: a winding cycle is the finite stand-in for an
+    infinite forward orbit, and a component winds exactly when its unique
+    cycle does."""
     dom = g.dom
     n = dom.n_sites
     o = g.out_index
@@ -583,7 +588,7 @@ def verify_all_components(g: OutMap, w=None, labeling: Optional[ComponentLabelin
     ncomp = labeling.n_components
 
     term = terminal_map(g)
-    long_cycle_free = bool(np.all(term != -2))
+    long_cycle_free = bool(np.all(term[~labeling.wrapping[labels]] != -2))
 
     two = two_cycle_mask(g)
     loops_per_comp = np.bincount(labels[two], minlength=ncomp) // 2
@@ -598,7 +603,7 @@ def verify_all_components(g: OutMap, w=None, labeling: Optional[ComponentLabelin
     else:
         comp_all_interior = np.ones(ncomp, dtype=bool)
     nontrivial = labeling.sizes > 1
-    judged = comp_all_interior & nontrivial
+    judged = comp_all_interior & nontrivial & ~labeling.wrapping
 
     src = np.where(o >= 0)[0]
     directed_per_comp = np.bincount(labels[src], minlength=ncomp)

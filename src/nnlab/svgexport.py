@@ -4,9 +4,12 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
 from .errors import UnsupportedDimensionError
 from .lattice import Box, Torus
 from .nngraph import OutMap, undirected_components
+from .serialize import format_rows
 from .topology import RegionClassification
 
 _SCALE = 24
@@ -29,47 +32,65 @@ def _geometry(dom):
     h = dom.shape[1] * _SCALE + 2 * _PAD
 
     def pos(site):
-        x = (site[0] - dom._lo[0]) * _SCALE + _PAD
-        y = h - ((site[1] - dom._lo[1]) * _SCALE + _PAD)
+        """Pixel position of a site, or of each row of an (m, 2) site array."""
+        site = np.asarray(site)
+        x = (site[..., 0] - dom._lo[0]) * _SCALE + _PAD
+        y = h - ((site[..., 1] - dom._lo[1]) * _SCALE + _PAD)
         return x, y
 
     return w, h, pos
 
 
+def _format_each(values: np.ndarray, fmt) -> np.ndarray:
+    """fmt applied once per distinct value, spread back over the array's shape."""
+    uniq, inv = np.unique(values, return_inverse=True)
+    return np.array([fmt(v) for v in uniq.tolist()], dtype=object)[inv.reshape(values.shape)]
+
+
 def render_outmap_svg(g: OutMap, labeling=None) -> str:
     """Arrows on the lattice, components colored by label; wrap edges dashed."""
-    dom = g.dom
-    w, h, pos = _geometry(dom)
+    w, h, pos = _geometry(g.dom)
     if labeling is None:
         labeling = undirected_components(g)
-    parts = [
+    return "".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-        f'viewBox="0 0 {w} {h}">',
-        f'<rect width="{w}" height="{h}" fill="white"/>',
+        f'viewBox="0 0 {w} {h}">\n',
+        f'<rect width="{w}" height="{h}" fill="white"/>\n',
+        *_outmap_rows(g, labeling, pos),
+        "</svg>",
+    ])
+
+
+def _outmap_rows(g: OutMap, labeling, pos) -> list:
+    """The edge and site elements, as blocks of lines; the arrays behind them
+    are freed before the caller joins the blocks."""
+    dom = g.dom
+    coords = dom.index_coords()
+    px, py = pos(coords)
+    src, dst = g.edge_arrays()
+    x0, y0 = px[src].astype(np.float64), py[src].astype(np.float64)
+    x1, y1 = px[dst].astype(np.float64), py[dst].astype(np.float64)
+    dashed = np.zeros(len(src), dtype=bool)
+    if isinstance(dom, Torus):
+        # seam edge: draw a stub in the step direction instead of a chord
+        step = coords[dst] - coords[src]
+        dashed = np.any(np.abs(step) > 1, axis=1)
+        sides = np.asarray(dom.sides)
+        t = step[dashed] % sides
+        dv = np.where(t <= sides - t, t, t - sides)
+        x1[dashed] = x0[dashed] + dv[:, 0] * _SCALE * 0.45
+        y1[dashed] = y0[dashed] - dv[:, 1] * _SCALE * 0.45
+    mx, my = x0 + 0.75 * (x1 - x0), y0 + 0.75 * (y1 - y0)
+    x0, y0, x1, y1, mx, my = _format_each(np.stack([x0, y0, x1, y1, mx, my]), _fmt)
+    color = _format_each(labeling.labels[src], _palette)
+    dash = np.array(["", ' stroke-dasharray="3 2"'], dtype=object)[dashed.astype(np.int64)]
+    edge = ('<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" stroke-width="1.6"%s/>\n'
+            '<circle cx="%s" cy="%s" r="2.2" fill="%s"/>\n')
+    dot = '<circle cx="%s" cy="%s" r="1.5" fill="#222"/>\n'
+    return [
+        *format_rows(edge, [x0, y0, x1, y1, color, dash, mx, my, color]),
+        *format_rows(dot, list(_format_each(np.stack([px, py]), _fmt))),
     ]
-    for x, y in g.directed_edges():
-        color = _palette(labeling.component_of(x))
-        x0, y0 = pos(x)
-        x1, y1 = pos(y)
-        dashed = ""
-        if isinstance(dom, Torus) and (abs(x[0] - y[0]) > 1 or abs(x[1] - y[1]) > 1):
-            # seam edge: draw a stub in the step direction instead of a chord
-            dv = dom.displacement(x, y)
-            x1, y1 = x0 + dv[0] * _SCALE * 0.45, y0 - dv[1] * _SCALE * 0.45
-            dashed = ' stroke-dasharray="3 2"'
-        mx, my = x0 + 0.75 * (x1 - x0), y0 + 0.75 * (y1 - y0)
-        parts.append(
-            f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" '
-            f'stroke="{color}" stroke-width="1.6"{dashed}/>'
-        )
-        parts.append(
-            f'<circle cx="{_fmt(mx)}" cy="{_fmt(my)}" r="2.2" fill="{color}"/>'
-        )
-    for i in range(dom.n_sites):
-        x0, y0 = pos(dom.index_site(i))
-        parts.append(f'<circle cx="{_fmt(x0)}" cy="{_fmt(y0)}" r="1.5" fill="#222"/>')
-    parts.append("</svg>")
-    return "\n".join(parts)
 
 
 _REGION_FILL = {"a": None, "b": "url(#hatch)", "c": "url(#crosshatch)"}
@@ -104,4 +125,6 @@ def render_regions_svg(rc: RegionClassification) -> str:
 
 
 def write_svg(text: str, path):
-    Path(path).write_text(text + "\n")
+    with Path(path).open("w") as fh:
+        fh.write(text)
+        fh.write("\n")

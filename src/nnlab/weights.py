@@ -261,11 +261,17 @@ def construct_weights(g: OutMap, dom=None, rng: Optional[SeededRng] = None) -> W
     return WeightField(dom, w)
 
 
+def realizes(w: WeightField, g: OutMap) -> bool:
+    """The nearest-neighbor graph of w agrees with g at every vertex where g
+    has an out-edge."""
+    if w.dom != g.dom:
+        raise SpecError(f"weights on {w.dom} cannot realize a digraph on {g.dom}")
+    go, ho = g.out_index, build_nn_directed(w).out_index
+    has = go >= 0
+    return bool(np.all(go[has] == ho[has]))
+
+
 def round_trip_matches(g: OutMap, rng: SeededRng) -> bool:
     """construct weights from g, rebuild the nearest-neighbor graph, and demand
     agreement at every vertex where g has an out-edge."""
-    w = construct_weights(g, rng=rng)
-    h = build_nn_directed(w)
-    go, ho = g.out_index, h.out_index
-    has = go >= 0
-    return bool(np.all(go[has] == ho[has]))
+    return realizes(construct_weights(g, rng=rng), g)

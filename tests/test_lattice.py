@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,3 +158,24 @@ def test_site_index_roundtrip():
     dom = Box((-2, 3), (4, 7))
     for i in range(dom.n_sites):
         assert dom.site_index(dom.index_site(i)) == i
+
+
+@pytest.mark.parametrize("dom", [Box((-2, -1, -3), (2, 3, 1)), Torus((3, 5))])
+def test_coords_index_and_edge_slots_match_per_site_versions(dom):
+    coords = dom.index_coords()
+    assert np.array_equal(dom.coords_index(coords), np.arange(dom.n_sites))
+    edges = list(dom.edges())
+    a = dom.coords_index([x for x, _ in edges])
+    b = dom.coords_index([y for _, y in edges])
+    for base, axis in (dom.edge_slots(a, b), dom.edge_slots(b, a)):
+        assert list(zip(base.tolist(), axis.tolist())) == [dom.edge_slot(e) for e in edges]
+
+
+def test_coords_index_is_strict():
+    dom = Box((-2, -1), (2, 3))
+    assert dom.coords_index([]).shape == (0,)
+    for bad in ([(3, 0)], [(0, 4)], [(0, 0, 0)], [(0.0, 1.0)], [(0, 0), (1,)]):
+        with pytest.raises(DomainError):
+            dom.coords_index(bad)
+    with pytest.raises(DomainError):
+        dom.edge_slots([dom.site_index((0, 0))], [dom.site_index((2, 2))])

@@ -242,3 +242,22 @@ def test_duplicate_weights_rejected():
     w = WeightField(dom, vals)
     with pytest.raises(StructureError):
         build_nn_directed(w)
+
+
+def test_winding_components_are_not_judged():
+    # Zerner-Merkl: two trees whose cycles wind around the torus
+    from nnlab.generators import gen_zerner_merkl
+
+    g = gen_zerner_merkl(16, SeededRng(7))
+    lab = undirected_components(g)
+    assert lab.wrapping.all()
+    rep = verify_all_components(g)
+    assert rep.ok and rep.long_cycle_free and rep.components_checked == 0
+
+    # a directed unit square on a torus winds nowhere and still fails
+    dom = Torus((6, 6))
+    g = build_nn_directed(sample_iid_uniform(dom, SeededRng(5)))
+    for x, y in (((0, 0), (1, 0)), ((1, 0), (1, 1)), ((1, 1), (0, 1)), ((0, 1), (0, 0))):
+        g.set_out(x, y)
+    rep = verify_all_components(g)
+    assert not rep.long_cycle_free and not rep.ok

@@ -116,6 +116,17 @@ def test_cli_verify_pass_and_corruption(tmp_path):
     assert report["suites"]["preconditions"]["long_cycles"]
 
 
+def test_cli_verify_zerner_merkl_torus(tmp_path):
+    out = tmp_path / "zm"
+    res = CliRunner().invoke(main, ["generate", "--model", "zerner_merkl", "--torus", "16x16",
+                                    "--seed", "7", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    res = CliRunner().invoke(main, ["verify", "--in", str(out)])
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.output)
+    assert report["suites"]["preconditions"]["wrapping_cycles"] == 2
+
+
 def test_cli_roundtrip_generators():
     runner = CliRunner()
     res = runner.invoke(main, ["roundtrip", "--model", "dyadic", "--box", "10x10", "--seed", "5"])
@@ -123,16 +134,32 @@ def test_cli_roundtrip_generators():
     assert json.loads(res.output)["ok"] is True
 
 
-def test_cli_census_empty_seed_list(tmp_path):
-    runner = CliRunner()
+def _census_no_seeds(tmp_path, seeds):
     out = tmp_path / "c"
-    res = runner.invoke(
+    res = CliRunner().invoke(
         main, ["census", "--model", "zerner_merkl", "--torus", "8x8",
-               "--seeds", "", "--out", str(out)]
+               "--seeds", seeds, "--out", str(out)]
     )
-    assert res.exit_code == 0, res.output
-    assert (out / "census.jsonl").read_text() == ""
-    assert json.loads((out / "aggregate.json").read_text()) == {"seeds": 0}
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith("error: ") and "no seeds" in res.stderr
+    assert not out.exists()
+
+
+def test_cli_census_empty_seed_list(tmp_path):
+    _census_no_seeds(tmp_path, "")
+    _census_no_seeds(tmp_path, ",")
+
+
+def test_cli_census_descending_seed_range(tmp_path):
+    _census_no_seeds(tmp_path, "3..1")
+
+
+def test_cli_generate_level_beyond_int64(tmp_path):
+    res = CliRunner().invoke(main, ["generate", "--model", "dyadic", "--box", "8x8",
+                                    "--level", "70", "--seed", "1", "--out", str(tmp_path / "r")])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith("error: ") and "63" in res.stderr
+    assert "int64" not in res.stderr
 
 
 def test_cli_census_modal(tmp_path):
