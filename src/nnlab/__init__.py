@@ -30,16 +30,11 @@ from .nngraph import (
     PathTrace,
     StepCapReached,
     TwoCycle,
-    backward_set,
     backward_sizes,
     build_nn_directed,
-    check_monotone_decreasing,
     forward_path,
-    infimum_supremum_along,
-    r_descendant,
     undirected_components,
     verify_all_components,
-    verify_component_structure,
 )
 from .rng import SeededRng
 from .weights import (
@@ -63,7 +58,6 @@ from .topology import (
     classify_regions,
     closure,
     dual_boundary,
-    site_components,
     star_boundary_path,
 )
 from .stats import (

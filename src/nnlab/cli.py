@@ -237,12 +237,13 @@ def census(spec_file, model, torus, box, k, layers, seeds, outdir, verify_struct
         seed_list = _parse_seeds(seeds)
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
-        threads = int(os.environ.get("NN_LAB_THREADS", "1"))
+        threads = _threads()
         if threads > 1 and len(seed_list) > 1:
             from concurrent.futures import ProcessPoolExecutor
 
             spec_doc = spec.to_json()
-            with ProcessPoolExecutor(max_workers=threads) as pool:
+            # a forked pool starts all of its workers at the first submit
+            with ProcessPoolExecutor(max_workers=min(threads, len(seed_list))) as pool:
                 recs = list(pool.map(_census_worker, [(spec_doc, s, verify_structure) for s in seed_list]))
         else:
             recs = component_census(spec, seed_list, verify_structure)
@@ -257,6 +258,17 @@ def census(spec_file, model, torus, box, k, layers, seeds, outdir, verify_struct
         click.echo(json.dumps(agg, sort_keys=True))
 
     _run(body)
+
+
+def _threads() -> int:
+    raw = os.environ.get("NN_LAB_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise SpecError(f"NN_LAB_THREADS must be an integer >= 1, got {raw!r}")
+    return threads
 
 
 def _census_worker(args):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -82,31 +82,6 @@ def gen_zerner_merkl(
     return g
 
 
-def zm_class_sites(dom: Torus, shift: tuple, parity: int) -> list:
-    """Sites of the up-right class (parity 0: both coords even before the
-    shift) or the down-left class (parity 1)."""
-    out = []
-    for x in range(dom.sides[0]):
-        for y in range(dom.sides[1]):
-            if (x - shift[0]) % 2 == parity and (y - shift[1]) % 2 == parity:
-                out.append((x, y))
-    return out
-
-
-def forward_closure(g: OutMap, starts: Sequence[Site]) -> set:
-    """All sites reachable from the starts by following out-edges."""
-    o = g.out_index
-    seen = set(g.dom.site_index(x) for x in starts)
-    stack = list(seen)
-    while stack:
-        i = stack.pop()
-        j = int(o[i])
-        if j >= 0 and j not in seen:
-            seen.add(j)
-            stack.append(j)
-    return {g.dom.index_site(i) for i in seen}
-
-
 # ---- dyadic ------------------------------------------------------------------------
 
 
@@ -139,10 +114,6 @@ def _check_orthant(x: Site):
 def _trailing_zeros(X: np.ndarray) -> np.ndarray:
     # uint64 cast makes bitwise_count see 64 set bits for X == 0
     return np.bitwise_count(((X & -X).astype(np.uint64)) - np.uint64(1)).astype(np.int64)
-
-
-def _dyadic_depth(X: np.ndarray) -> np.ndarray:
-    return _trailing_zeros(X).min(axis=1)
 
 
 def _dyadic_axis(X: np.ndarray) -> np.ndarray:
@@ -201,12 +172,6 @@ def sample_dyadic_shift(n: int, window: Box, rng: SeededRng) -> tuple:
         if all(c >= 0 for c in lo) and not all(l <= 0 <= h for l, h in zip(lo, hi)):
             return Z
     raise SpecError("could not sample an admissible dyadic shift")
-
-
-def dyadic_out(v: Site) -> Site:
-    """Out-neighbor of a nonzero orthant site under the unshifted rule."""
-    ax = gen_dyadic_i(v) - 1
-    return tuple(c - 1 if a == ax else c for a, c in enumerate(v))
 
 
 def dyadic_in_neighbors(v: Site) -> list:
@@ -268,23 +233,6 @@ def gen_layered(base, n_layers: int) -> OutMap:
 
 
 # ---- finite-k stretch --------------------------------------------------------------
-
-
-def stretched_segment_edges(case: str, k: int, base: Site, axis: int) -> list:
-    """Directed edges replacing one coarse edge {x, x+e_axis} under the
-    4k-stretch; ``base`` is the lattice point 4k*x.  Case c leaves the middle
-    edge unoriented, pointing each half toward its nearer segment endpoint."""
-    s = 4 * k
-    pts = [tuple(c + (l if a == axis else 0) for a, c in enumerate(base)) for l in range(s + 1)]
-    if case == "a":
-        return [(pts[l], pts[l + 1]) for l in range(s)]
-    if case == "b":
-        return [(pts[l + 1], pts[l]) for l in range(s)]
-    if case == "c":
-        back = [(pts[l], pts[l - 1]) for l in range(1, 2 * k + 1)]
-        fwd = [(pts[l], pts[l + 1]) for l in range(2 * k + 1, s)]
-        return back + fwd
-    raise SpecError(f"unknown segment case {case!r}")
 
 
 def fill_region(sites: set) -> dict:
@@ -494,8 +442,7 @@ def modify_type_c(g: OutMap) -> OutMap:
     new_out = o.copy()
     new_out[qualify] = min_in[qualify]
     res = OutMap(g.dom, new_out, active_margin=g.active_margin)
-    if hasattr(g, "meta"):
-        res.meta = g.meta
+    res.meta = g.meta
     return res
 
 

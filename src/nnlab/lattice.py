@@ -216,13 +216,16 @@ class Box(_DomainBase):
         y = tuple(y)
         return y if self.contains(y) else None
 
-    def face_depth(self, x: Site) -> int:
-        """L-infinity distance from x to the complement of the box."""
-        return 1 + min(min(c - l, h - c) for c, l, h in zip(x, self.lo, self.hi))
-
-    def is_interior(self, x: Site) -> bool:
-        """True when every lattice neighbor of x lies inside the box."""
-        return all(l < c < h for c, l, h in zip(x, self.lo, self.hi))
+    def face_depths(self) -> np.ndarray:
+        """L-infinity distance from each site to the complement of the box, in
+        flat-index order (1 on the faces, 2 on the sites next to them, ...),
+        built one axis at a time."""
+        depth = np.int64(np.iinfo(np.int64).max)
+        for a, s in enumerate(self.shape):
+            i = np.arange(s, dtype=np.int64)
+            axis_depth = 1 + np.minimum(i, s - 1 - i)
+            depth = np.minimum(depth, axis_depth.reshape([-1 if b == a else 1 for b in range(self.d)]))
+        return depth.reshape(-1)
 
     def __eq__(self, other):
         return isinstance(other, Box) and (self.lo, self.hi) == (other.lo, other.hi)
@@ -264,12 +267,6 @@ class Torus(_DomainBase):
         y = list(x)
         y[axis] = (y[axis] + sign) % self.sides[axis]
         return tuple(y)
-
-    def face_depth(self, x: Site) -> float:
-        return float("inf")
-
-    def is_interior(self, x: Site) -> bool:
-        return True
 
     def displacement(self, a: Site, b: Site) -> Site:
         """Minimal per-axis displacement taking a to b (sides >= 3 make it unique

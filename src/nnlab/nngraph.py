@@ -8,7 +8,7 @@ vectorized while the tuple-based accessors keep call sites readable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,6 +29,8 @@ class OutMap:
     def __init__(self, dom, out=None, active_margin: int = 0):
         self.dom = dom
         self.active_margin = int(active_margin)
+        # generator bookkeeping read by the census (system ids, cell grid, ...)
+        self.meta: dict = {}
         n = dom.n_sites
         if out is None:
             self._out = np.full(n, -1, dtype=np.int64)
@@ -97,11 +99,7 @@ class OutMap:
         """Sites where the digraph is expected to have out-degree exactly one."""
         if isinstance(self.dom, Torus):
             return np.ones(self.dom.n_sites, dtype=bool)
-        coords = self.dom.index_coords()
-        lo = np.asarray(self.dom.lo)
-        hi = np.asarray(self.dom.hi)
-        depth = np.minimum(coords - lo, hi - coords).min(axis=1)
-        return depth >= 1 + self.active_margin
+        return self.dom.face_depths() >= 2 + self.active_margin
 
     def copy(self) -> "OutMap":
         return OutMap(self.dom, self._out.copy(), self.active_margin)
@@ -201,94 +199,94 @@ class ComponentLabeling:
 def undirected_components(g: OutMap) -> ComponentLabeling:
     """Label components of {{x, out(x)}}; isolated sites become singletons."""
     dom = g.dom
-    n = dom.n_sites
-    o = g.out_index
-    src = np.where(o >= 0)[0]
-    dst = o[src]
-    mat = sp.coo_matrix((np.ones(len(src), dtype=np.int8), (src, dst)), shape=(n, n))
-    _, labels = connected_components(mat, directed=False)
-    labels = _relabel_dense(labels)
-    ncomp = int(labels.max()) + 1 if n else 0
+    src, dst = g.edge_arrays()
+    labels = label_components(dom.n_sites, src, dst)
+    ncomp = int(labels.max()) + 1
     sizes = np.bincount(labels, minlength=ncomp)
 
     touching = np.zeros(ncomp, dtype=bool)
     spanning = np.zeros(ncomp, dtype=bool)
-    wrapping = np.zeros(ncomp, dtype=bool)
     if isinstance(dom, Box):
-        coords = dom.index_coords()
-        lo = np.asarray(dom.lo)
-        hi = np.asarray(dom.hi)
-        margin = np.minimum(coords - lo, hi - coords).min(axis=1)
-        touching[np.unique(labels[margin <= 1])] = True
+        touching[labels[dom.face_depths() <= 2]] = True
+        grid = labels.reshape(dom.shape)
         for a in range(dom.d):
-            lo_lbl = np.unique(labels[coords[:, a] == dom.lo[a]])
-            hi_lbl = np.unique(labels[coords[:, a] == dom.hi[a]])
-            spanning[np.intersect1d(lo_lbl, hi_lbl)] = True
+            spanning[np.intersect1d(grid.take(0, axis=a), grid.take(-1, axis=a))] = True
+        wrapping = np.zeros(ncomp, dtype=bool)
     else:
-        for cid in _wrapping_components(g, labels):
-            wrapping[cid] = True
+        wrapping = torus_winding(dom, src, dst, labels)
     return ComponentLabeling(dom, labels, sizes, touching, spanning, wrapping)
 
 
-def _relabel_dense(labels: np.ndarray) -> np.ndarray:
-    _, dense = np.unique(labels, return_inverse=True)
-    return dense.astype(np.int64)
+# ---- functional-graph kernels ------------------------------------------------------
 
 
-def _wrapping_components(g: OutMap, labels: np.ndarray) -> set:
-    """Components whose edge set has nonzero winding around some torus axis.
+def label_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Labels 0..k-1 of the components of the undirected graph on n vertices
+    with edges {src[i], dst[i]}, numbered in order of each component's least
+    vertex (Hoshen-Kopelman cluster labeling)."""
+    mat = sp.coo_matrix((np.ones(len(src), dtype=np.int8), (src, dst)), shape=(n, n))
+    return connected_components(mat, directed=False)[1].astype(np.int64)
 
-    Cut the torus along every seam, label the cut graph, then chase seam edges
-    with integer offsets between cut-components; an offset mismatch means the
-    original component winds."""
-    dom = g.dom
-    o = g.out_index
-    src = np.where(o >= 0)[0]
-    dst = o[src]
-    coords = dom.index_coords()
-    sides = np.asarray(dom.sides)
-    disp = coords[dst] - coords[src]
-    disp -= np.round(disp / sides).astype(np.int64) * sides  # minimal displacement
-    seam = np.any(coords[src] + disp != coords[dst], axis=1)
 
-    inner_src, inner_dst = src[~seam], dst[~seam]
-    n = dom.n_sites
-    mat = sp.coo_matrix(
-        (np.ones(len(inner_src), dtype=np.int8), (inner_src, inner_dst)), shape=(n, n)
-    )
-    _, cut = connected_components(mat, directed=False)
+def torus_winding(dom: Torus, src: np.ndarray, dst: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per label: whether the component's edges {src[i], dst[i]}, read as
+    steps of minimal displacement, wind around the torus.
 
-    adj = {}
-    for s_i, d_i, dv in zip(src[seam], dst[seam], disp[seam]):
-        cu, cv = int(cut[s_i]), int(cut[d_i])
-        # lift offset between the two rigid cut-components (a multiple of L per axis)
-        off = tuple(int(t) for t in coords[s_i] + dv - coords[d_i])
+    Cut every edge that crosses a seam, label the rigid pieces that remain,
+    then chase the seam edges between pieces with their lift offsets (a
+    multiple of the side per axis); a piece reached at two different offsets
+    means its component winds."""
+    seam = np.zeros(len(src), dtype=bool)
+    offsets = []
+    for stride, side in zip(flat_strides(dom.shape), dom.sides):
+        delta = (dst // stride) % side - (src // stride) % side
+        off = -np.round(delta / side).astype(np.int64) * side
+        seam |= off != 0
+        offsets.append(off)
+    cut = label_components(dom.n_sites, src[~seam], dst[~seam])
+
+    adj: dict = {}
+    piece_label: dict = {}
+    s, t = src[seam], dst[seam]
+    seam_offsets = zip(*(off[seam].tolist() for off in offsets))
+    for cu, cv, lab, off in zip(cut[s].tolist(), cut[t].tolist(), labels[s].tolist(), seam_offsets):
         adj.setdefault(cu, []).append((cv, off))
-        adj.setdefault(cv, []).append((cu, tuple(-t for t in off)))
+        adj.setdefault(cv, []).append((cu, tuple(-x for x in off)))
+        piece_label[cu] = piece_label[cv] = lab
 
-    wrapping = set()
+    winds = np.zeros(int(labels.max()) + 1, dtype=bool)
     pos: dict = {}
     for start in adj:
         if start in pos:
             continue
         pos[start] = (0,) * dom.d
         stack = [start]
-        group = [start]
-        found = False
         while stack:
             u = stack.pop()
-            for v, dv in adj[u]:
-                cand = tuple(p + t for p, t in zip(pos[u], dv))
+            for v, off in adj[u]:
+                cand = tuple(p + x for p, x in zip(pos[u], off))
                 if v not in pos:
                     pos[v] = cand
                     stack.append(v)
-                    group.append(v)
                 elif pos[v] != cand:
-                    found = True
-        if found:
-            rep = np.where(cut == start)[0][0]
-            wrapping.add(int(labels[rep]))
-    return wrapping
+                    winds[piece_label[start]] = True
+    return winds
+
+
+def first_stop(out: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """For each site, the first site of its forward orbit (itself included)
+    where ``stop`` holds; -2 where the orbit never stops, which on a finite
+    map means it feeds a cycle of non-stop sites.  Every site without an
+    out-edge must be a stop.
+
+    Pointer doubling with absorption: stops point at themselves, and
+    ceil(log2(4n)) squarings cover any orbit."""
+    n = len(out)
+    jump = np.where(stop, np.arange(n, dtype=np.int64), out)
+    for _ in range(max(1, int(np.ceil(np.log2(max(2, 4 * n)))))):
+        jump = jump[jump]
+    jump[~stop[jump]] = -2
+    return jump
 
 
 # ---- forward paths -----------------------------------------------------------------
@@ -352,30 +350,6 @@ def forward_path(x: Site, g: OutMap, step_cap: Optional[int] = None) -> PathTrac
     return PathTrace([dom.index_site(t) for t in trace], StepCapReached())
 
 
-def backward_set(x: Site, g: OutMap) -> set:
-    """All y whose forward orbit passes through x, including x itself."""
-    dom = g.dom
-    rev = _reverse_adjacency(g)
-    start = dom.site_index(x)
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in rev.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return {dom.index_site(i) for i in seen}
-
-
-def _reverse_adjacency(g: OutMap) -> dict:
-    rev: dict = {}
-    o = g.out_index
-    for i in np.where(o >= 0)[0]:
-        rev.setdefault(int(o[i]), []).append(int(i))
-    return rev
-
-
 def backward_sizes(g: OutMap) -> np.ndarray:
     """#C_x for every site at once.
 
@@ -397,23 +371,13 @@ def backward_sizes(g: OutMap) -> np.ndarray:
         np.add.at(t, parents, t[kids])
         np.subtract.at(deg, parents, 1)
         frontier = np.unique(parents[deg[parents] == 0])
-    sizes = t.copy()
-    on_cycle = ~peeled & valid
-    todo = np.where(on_cycle)[0]
-    visited = np.zeros(n, dtype=bool)
-    for i in todo:
-        if visited[i]:
-            continue
-        cyc = [int(i)]
-        visited[i] = True
-        j = int(o[i])
-        while j != int(i):
-            cyc.append(j)
-            visited[j] = True
-            j = int(o[j])
-        total = int(t[cyc].sum())
-        sizes[cyc] = total
-    return sizes
+    cyc = np.flatnonzero(~peeled & valid)
+    if cyc.size:
+        lab = label_components(n, cyc, o[cyc])[cyc]
+        total = np.zeros(n, dtype=np.int64)
+        np.add.at(total, lab, t[cyc])
+        t[cyc] = total[lab]
+    return t
 
 
 def two_cycle_mask(g: OutMap) -> np.ndarray:
@@ -425,21 +389,12 @@ def two_cycle_mask(g: OutMap) -> np.ndarray:
     return res
 
 
-def terminal_map(g: OutMap, step_limit: Optional[int] = None) -> np.ndarray:
-    """For each site, the first two-cycle vertex (or sink) its orbit reaches.
-
-    Pointer doubling with absorption; -2 flags orbits that never absorb, which
-    on a finite map means they feed a directed cycle of length >= 3."""
-    n = g.dom.n_sites
+def terminal_map(g: OutMap) -> np.ndarray:
+    """For each site, the first two-cycle vertex (or sink) its orbit reaches;
+    -2 flags orbits that never get there, which on a finite map means they
+    feed a directed cycle of length >= 3."""
     o = g.out_index
-    absorb = two_cycle_mask(g) | (o < 0)
-    jump = np.where(absorb, np.arange(n, dtype=np.int64), o)
-    rounds = max(1, int(np.ceil(np.log2(max(2, 4 * n)))))
-    for _ in range(rounds):
-        jump = jump[jump]
-    done = absorb[jump]
-    jump[~done] = -2
-    return jump
+    return first_stop(o, two_cycle_mask(g) | (o < 0))
 
 
 # ---- per-edge weight views used by path analyses --------------------------------
@@ -460,90 +415,7 @@ def out_edge_weights(g: OutMap, w) -> np.ndarray:
     return res
 
 
-def check_monotone_decreasing(trace: PathTrace, w) -> bool:
-    """Strict weight decrease along the self-avoiding part of the trace."""
-    edges = trace.edges()
-    if isinstance(trace.terminal, TwoCycle):
-        edges = edges[:-1]  # final edge re-traverses the miniloop edge
-    vals = [w.weight(e) for e in edges]
-    return all(a > b for a, b in zip(vals, vals[1:]))
-
-
-def infimum_supremum_along(trace: PathTrace, w) -> tuple:
-    edges = trace.edges()
-    if not edges:
-        raise SpecError("trace has no edges; infimum/supremum undefined")
-    vals = [w.weight(e) for e in edges]
-    return min(vals), max(vals)
-
-
-def r_descendant(x: Site, r: float, g: OutMap, w) -> Optional[Site]:
-    """Last vertex along the forward orbit of x whose out-edge weighs >= r."""
-    trace = forward_path(x, g)
-    verts = trace.vertices[:-1] if isinstance(trace.terminal, TwoCycle) else trace.vertices
-    wout = []
-    for a, b in zip(trace.vertices, trace.vertices[1:]):
-        wout.append(w.weight(canonical_edge(a, b)))
-    best = None
-    for v, wv in zip(verts, wout):
-        if wv >= r:
-            best = v
-    return best
-
-
 # ---- structure verification -------------------------------------------------------
-
-
-@dataclass
-class ComponentStructureReport:
-    size: int
-    undirected_edges: int
-    is_tree: bool
-    miniloop_count: int
-    orientation_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.is_tree and self.miniloop_count == 1 and self.orientation_ok
-
-
-def verify_component_structure(component_sites: Iterable, g: OutMap) -> ComponentStructureReport:
-    """Check one component against the finite-cluster description: a tree whose
-    directed edges all point toward its unique miniloop."""
-    dom = g.dom
-    idx = sorted(dom.site_index(x) for x in component_sites)
-    members = set(idx)
-    o = g.out_index
-    und = set()
-    directed = []
-    for i in idx:
-        j = int(o[i])
-        if j >= 0 and j in members:
-            und.add((min(i, j), max(i, j)))
-            directed.append((i, j))
-    two = sorted({(min(i, j), max(i, j)) for i, j in directed if int(o[j]) == i})
-    is_tree = len(und) == len(idx) - 1
-    orientation_ok = True
-    if len(two) == 1:
-        loop = set(two[0])
-        for i in idx:
-            tr = forward_path(dom.index_site(i), g)
-            if not isinstance(tr.terminal, TwoCycle):
-                orientation_ok = False
-                break
-            u, v = tr.terminal.u, tr.terminal.v
-            if {dom.site_index(u), dom.site_index(v)} != loop:
-                orientation_ok = False
-                break
-    else:
-        orientation_ok = False
-    return ComponentStructureReport(
-        size=len(idx),
-        undirected_edges=len(und),
-        is_tree=is_tree,
-        miniloop_count=len(two),
-        orientation_ok=orientation_ok,
-    )
 
 
 @dataclass
@@ -571,7 +443,8 @@ class GraphStructureReport:
 
 
 def verify_all_components(g: OutMap, w=None, labeling: Optional[ComponentLabeling] = None) -> GraphStructureReport:
-    """Vectorized whole-graph version of the per-component verifier.
+    """Check every component against the finite-cluster description at once:
+    a tree whose directed edges all point toward its unique miniloop.
 
     On a Box, only components made entirely of interior sites are judged (the
     boundary truncates argmins, so the theorem's description need not hold
@@ -593,15 +466,9 @@ def verify_all_components(g: OutMap, w=None, labeling: Optional[ComponentLabelin
     two = two_cycle_mask(g)
     loops_per_comp = np.bincount(labels[two], minlength=ncomp) // 2
 
+    comp_all_interior = np.ones(ncomp, dtype=bool)
     if isinstance(dom, Box):
-        coords = dom.index_coords()
-        lo = np.asarray(dom.lo)
-        hi = np.asarray(dom.hi)
-        interior = np.all((coords > lo) & (coords < hi), axis=1)
-        comp_all_interior = np.ones(ncomp, dtype=bool)
-        comp_all_interior[np.unique(labels[~interior])] = False
-    else:
-        comp_all_interior = np.ones(ncomp, dtype=bool)
+        comp_all_interior[labels[dom.face_depths() == 1]] = False
     nontrivial = labeling.sizes > 1
     judged = comp_all_interior & nontrivial & ~labeling.wrapping
 
@@ -611,8 +478,7 @@ def verify_all_components(g: OutMap, w=None, labeling: Optional[ComponentLabelin
     tree_ok = und_per_comp == labeling.sizes - 1
 
     orient_ok = np.ones(ncomp, dtype=bool)
-    bad_term = np.unique(labels[(term == -2) | (o < 0)])
-    orient_ok[bad_term] = False
+    orient_ok[labels[(term == -2) | (o < 0)]] = False
 
     passed = judged & tree_ok & (loops_per_comp == 1) & orient_ok
 

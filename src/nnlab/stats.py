@@ -22,6 +22,7 @@ from .nngraph import (
     ComponentLabeling,
     OutMap,
     backward_sizes,
+    first_stop,
     out_edge_weights,
     terminal_map,
     two_cycle_mask,
@@ -122,18 +123,16 @@ def r_descendant_map(g: OutMap, w, r: float) -> np.ndarray:
     next_w[has] = wout[o[has]]
     crossing = has & (wout >= r) & (np.isnan(next_w) | (next_w < r))
     two = two_cycle_mask(g)
-    stop = crossing | two | ~has
-    jump = np.where(stop, np.arange(n, dtype=np.int64), o)
-    for _ in range(max(1, int(np.ceil(np.log2(max(2, 4 * n)))))):
-        jump = jump[jump]
-    landed = jump
+    landed = first_stop(o, crossing | two | ~has)
     res = np.full(n, -1, dtype=np.int64)
-    land_cross = crossing[landed]
-    res[land_cross] = landed[land_cross]
+    src = np.flatnonzero(landed >= 0)
+    t = landed[src]
+    land_cross = crossing[t]
+    res[src[land_cross]] = t[land_cross]
     # orbit absorbed into a miniloop still weighing >= r: the descendant is the
     # partner of the entry vertex (last orbit vertex before the repeat)
-    land_two = ~land_cross & two[landed] & (wout[landed] >= r)
-    res[land_two] = o[landed[land_two]]
+    land_two = ~land_cross & two[t] & (wout[t] >= r)
+    res[src[land_two]] = o[t[land_two]]
     # sources whose own out-edge already weighs < r transport nothing
     res[~has | (wout < r)] = -1
     return res
@@ -209,7 +208,7 @@ def system_span_count(g: OutMap, lab: ComponentLabeling) -> int:
     is its own system.
     """
     flags = (lab.wrapping if isinstance(g.dom, Torus) else lab.spanning).copy()
-    meta = getattr(g, "meta", None) or {}
+    meta = g.meta
     if "witness_size" in meta:
         flags |= lab.sizes > int(meta["witness_size"])
     ids = np.where(flags)[0]
@@ -230,9 +229,8 @@ def core_infinite_count(g: OutMap, lab: ComponentLabeling) -> Optional[int]:
     cell structure; the core is aligned to the generator's cell grid)."""
     if not isinstance(g.dom, Torus):
         return None
-    meta = getattr(g, "meta", None) or {}
-    cell = meta.get("cell", 1)
-    shift = meta.get("shift", (0,) * g.dom.d)
+    cell = g.meta.get("cell", 1)
+    shift = g.meta.get("shift", (0,) * g.dom.d)
     base = tuple(
         ((s // 2 - sh) // cell) * cell + sh for s, sh in zip(g.dom.sides, shift)
     )
@@ -322,10 +320,13 @@ def connection_probability_curve(
     n_boot: int = 200,
 ) -> DecayCurve:
     """Torus-averaged probability that the origin connects to (n, 0, ...) in
-    the iid nearest-neighbor graph, with block-bootstrap confidence bands."""
+    the iid nearest-neighbor graph, with block-bootstrap confidence bands over
+    slabs of ``block`` rows along the first axis; ``block`` must divide L."""
     from .weights import sample_iid_uniform
     from .nngraph import build_nn_directed
 
+    if block < 1 or L % block:
+        raise SpecError(f"bootstrap block {block} must divide the torus side L={L}")
     dom = Torus((L,) * d)
     hits = {n: [] for n in distances}
     for seed in seeds:
@@ -353,33 +354,6 @@ def connection_probability_curve(
         hi_ci.append(float(np.quantile(means, 0.995)))
     total = len(hits[distances[0]]) * dom.n_sites
     return DecayCurve(list(distances), p, lo_ci, hi_ci, total)
-
-
-def exhaustive_connection_check(L: int, n: int, seeds) -> tuple:
-    """Independent oracle for p(n): per seed, brute-force per-vertex argmin and
-    union-find labeling, then translate-average by scanning all sites."""
-    from .weights import sample_iid_uniform
-    from .unionfind import UnionFind
-
-    dom = Torus((L, L))
-    total = 0
-    hit = 0
-    for seed in seeds:
-        w = sample_iid_uniform(dom, SeededRng(int(seed)))
-        uf = UnionFind(dom.sites())
-        for x in dom.sites():
-            best = None
-            bw = None
-            for y in dom.neighbors(x):
-                wt = w.weight((x, y) if x <= y else (y, x))
-                if bw is None or wt < bw:
-                    bw, best = wt, y
-            uf.union(x, best)
-        for x in dom.sites():
-            y = dom.wrap((x[0] + n, x[1]))
-            total += 1
-            hit += uf.find(x) == uf.find(y)
-    return hit, total
 
 
 # ---- backward tails -------------------------------------------------------------------

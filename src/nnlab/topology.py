@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import SpecError, StructureError, UnsupportedDimensionError
 from .lattice import Box, Torus, canonical_edge, dual_of, primal_of
-from .nngraph import ComponentLabeling
-from .unionfind import UnionFind
+from .nngraph import ComponentLabeling, label_components, torus_winding
 
 
 def _check_window(window):
@@ -27,127 +26,28 @@ def _check_window(window):
 # ---- site components ------------------------------------------------------------
 
 
-def site_components(V: Iterable, window) -> list:
-    """Partition V into maximal site-connected (L1-adjacent) subsets."""
-    _check_window(window)
-    sites = sorted(set(V))
-    uf = UnionFind(sites)
-    member = set(sites)
-    for x in sites:
-        for a in range(2):
-            y = window.axis_neighbor(x, a, +1)
-            if y is not None and y in member:
-                uf.union(x, y)
-    return uf.groups()
-
-
-def flood_fill_components(V: Iterable, window) -> list:
-    """BFS reference implementation; oracle for site_components."""
-    member = set(V)
-    out = []
-    while member:
-        start = min(member)
-        comp = {start}
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for v in window.neighbors(u):
-                if v in member and v not in comp:
-                    comp.add(v)
-                    queue.append(v)
-        member -= comp
-        out.append(sorted(comp))
-    return sorted(out)
-
-
-def _touches_boundary(sites: Iterable, window) -> bool:
-    if isinstance(window, Torus):
-        return False
-    return any(window.face_depth(x) == 1 for x in sites)
-
-
 class SubsetStructure:
     """Vectorized site-component labeling of a vertex subset, with the two
     finite-volume unboundedness proxies per component."""
 
     def __init__(self, mask: np.ndarray, window):
-        import scipy.sparse as sp
-        from scipy.sparse.csgraph import connected_components as _cc
-
-        n = window.n_sites
         self.window = window
         self.mask = mask
-        idx = np.arange(n)
-        coords = window.index_coords()
-        inner_r, inner_c = [], []
-        seam_r, seam_c = [], []
-        for a in range(2):
+        src, dst = [], []
+        for a in range(window.d):
             fwd = window.neighbor_index(a, +1)
-            ok = (fwd >= 0) & mask & mask[np.clip(fwd, 0, n - 1)]
-            src, dst = idx[ok], fwd[ok]
-            if isinstance(window, Torus):
-                wraps = coords[dst, a] != coords[src, a] + 1
-                inner_r.append(src[~wraps])
-                inner_c.append(dst[~wraps])
-                seam_r.append(src[wraps])
-                seam_c.append(dst[wraps])
-            else:
-                inner_r.append(src)
-                inner_c.append(dst)
-
-        def cat(parts):
-            return np.concatenate(parts) if parts else np.empty(0, np.int64)
-
-        inner_r, inner_c = cat(inner_r), cat(inner_c)
-        seam_r, seam_c = cat(seam_r), cat(seam_c)
-        all_r = np.concatenate([inner_r, seam_r])
-        all_c = np.concatenate([inner_c, seam_c])
-        mat = sp.coo_matrix((np.ones(len(all_r), dtype=np.int8), (all_r, all_c)), shape=(n, n))
-        _, self.labels = _cc(mat, directed=False)
-        ncomp = int(self.labels.max()) + 1 if n else 0
-
+            ok = (fwd >= 0) & mask & mask[fwd]
+            src.append(np.flatnonzero(ok))
+            dst.append(fwd[ok])
+        src, dst = np.concatenate(src), np.concatenate(dst)
+        self.labels = label_components(window.n_sites, src, dst)
+        ncomp = int(self.labels.max()) + 1
         self.touching = np.zeros(ncomp, dtype=bool)
-        self.wrapping = np.zeros(ncomp, dtype=bool)
         if isinstance(window, Box):
-            lo = np.asarray(window.lo)
-            hi = np.asarray(window.hi)
-            on_face = (np.minimum(coords - lo, hi - coords).min(axis=1) == 0) & mask
-            self.touching[self.labels[on_face]] = True
-        elif len(seam_r):
-            # rigid pieces of the seam-cut graph chase offsets across seam
-            # edges; an offset conflict marks the whole component as winding
-            cutmat = sp.coo_matrix(
-                (np.ones(len(inner_r), dtype=np.int8), (inner_r, inner_c)), shape=(n, n)
-            )
-            _, cut = _cc(cutmat, directed=False)
-            sides = np.asarray(window.sides)
-            adj: dict = {}
-            for s_i, d_i in zip(seam_r, seam_c):
-                dv = coords[d_i] - coords[s_i]
-                dv = dv - np.round(dv / sides).astype(np.int64) * sides
-                off = tuple(int(t) for t in coords[s_i] + dv - coords[d_i])
-                cu, cv = int(cut[s_i]), int(cut[d_i])
-                adj.setdefault(cu, []).append((cv, off))
-                adj.setdefault(cv, []).append((cu, tuple(-t for t in off)))
-            pos: dict = {}
-            for start in adj:
-                if start in pos:
-                    continue
-                pos[start] = (0, 0)
-                stack = [start]
-                conflict = False
-                while stack:
-                    u = stack.pop()
-                    for v, off in adj[u]:
-                        cand = (pos[u][0] + off[0], pos[u][1] + off[1])
-                        if v not in pos:
-                            pos[v] = cand
-                            stack.append(v)
-                        elif pos[v] != cand:
-                            conflict = True
-                if conflict:
-                    rep = int(np.where(cut == start)[0][0])
-                    self.wrapping[self.labels[rep]] = True
+            self.touching[self.labels[(window.face_depths() == 1) & mask]] = True
+            self.wrapping = np.zeros(ncomp, dtype=bool)
+        else:
+            self.wrapping = torus_winding(window, src, dst, self.labels)
 
     def unbounded(self) -> np.ndarray:
         return self.touching | self.wrapping
@@ -155,13 +55,6 @@ class SubsetStructure:
     def fill_mask(self) -> np.ndarray:
         """Member sites lying in proxy-finite components."""
         return self.mask & ~self.unbounded()[self.labels]
-
-    def groups(self) -> list:
-        window = self.window
-        out: dict = {}
-        for i in np.where(self.mask)[0]:
-            out.setdefault(int(self.labels[i]), []).append(window.index_site(int(i)))
-        return sorted(sorted(g) for g in out.values())
 
 
 def _mask_of(V: Iterable, window) -> np.ndarray:
@@ -181,44 +74,6 @@ def closure(V: Iterable, window) -> set:
     for i in np.where(st.fill_mask())[0]:
         out.add(window.index_site(int(i)))
     return out
-
-
-def closure_reference(V: Iterable, window) -> set:
-    """Pure-python route kept as an oracle for the vectorized closure."""
-    _check_window(window)
-    vs = set(V)
-    out = set(vs)
-    comp_sites = [x for x in window.sites() if x not in vs]
-    for comp in site_components(comp_sites, window):
-        if isinstance(window, Torus):
-            if not _component_wraps(comp, window):
-                out.update(comp)
-        elif not _touches_boundary(comp, window):
-            out.update(comp)
-    return out
-
-
-def _component_wraps(comp: list, window: Torus) -> bool:
-    """Lift the component to the plane; a position conflict means it wraps."""
-    member = set(comp)
-    pos = {comp[0]: (0, 0)}
-    stack = [comp[0]]
-    while stack:
-        u = stack.pop()
-        for a in range(2):
-            for sgn in (+1, -1):
-                v = window.axis_neighbor(u, a, sgn)
-                if v not in member:
-                    continue
-                cand = tuple(
-                    p + (sgn if i == a else 0) for i, p in enumerate(pos[u])
-                )
-                if v not in pos:
-                    pos[v] = cand
-                    stack.append(v)
-                elif pos[v] != cand:
-                    return True
-    return False
 
 
 # ---- dual boundary ---------------------------------------------------------------
@@ -484,12 +339,8 @@ def infinite_component_ids(labeling: ComponentLabeling) -> list:
     face-touching set can never sit inside another component's hole)."""
     if isinstance(labeling.dom, Torus):
         return [int(c) for c in np.where(labeling.wrapping)[0]]
-    window = labeling.dom
-    coords = window.index_coords()
-    lo = np.asarray(window.lo)
-    hi = np.asarray(window.hi)
-    on_face = np.minimum(coords - lo, hi - coords).min(axis=1) == 0
-    return sorted(int(c) for c in np.unique(labeling.labels[on_face]))
+    on_face = labeling.dom.face_depths() == 1
+    return [int(c) for c in np.unique(labeling.labels[on_face])]
 
 
 def classify_regions(labeling: ComponentLabeling, window) -> RegionClassification:

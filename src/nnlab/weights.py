@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConstructionError, SpecError, StructureError
 from .lattice import Torus, UEdge, canonical_edge
-from .nngraph import OutMap, backward_sizes, build_nn_directed
+from .nngraph import OutMap, backward_sizes, build_nn_directed, terminal_map, torus_winding
 from .rng import SeededRng
 
 
@@ -76,14 +76,16 @@ class WeightField:
         return bool(np.all((np.isnan(a) & np.isnan(b)) | (a == b)))
 
 
-def _dedupe(dom, w: np.ndarray, rng: SeededRng, interval) -> np.ndarray:
-    """Re-draw colliding slots from per-slot derived streams until distinct.
+def _dedupe(w: np.ndarray, rng: SeededRng, interval) -> np.ndarray:
+    """Re-draw colliding slots from per-slot derived streams until distinct;
+    each retry draws from a stream of its own, so a redraw that collides again
+    gets a fresh value on the next attempt.
 
     Collisions have probability ~0 for 64-bit draws; the loop keeps the
     distinctness invariant machine-checkable rather than merely almost-sure.
     """
     lo, hi = interval
-    for _ in range(64):
+    for attempt in range(64):
         flat = w.reshape(-1)
         valid = ~np.isnan(flat)
         vals = flat[valid]
@@ -95,7 +97,8 @@ def _dedupe(dom, w: np.ndarray, rng: SeededRng, interval) -> np.ndarray:
         dup[order[1:][eq]] = True
         slots = np.where(valid)[0][dup]
         for s in slots:
-            u = float(rng.child("dedupe", int(s)).uniform_open())
+            labels = ("dedupe", int(s)) if attempt == 0 else ("dedupe", int(s), attempt)
+            u = float(rng.child(*labels).uniform_open())
             flat[s] = lo[s] + (hi[s] - lo[s]) * u
     raise StructureError("could not separate colliding weights")
 
@@ -108,7 +111,7 @@ def sample_iid_uniform(dom, rng: SeededRng) -> WeightField:
         w[a, dom.neighbor_index(a, +1) < 0] = np.nan
     lo = np.zeros(d * n)
     hi = np.ones(d * n)
-    w = _dedupe(dom, w, rng, (lo, hi))
+    w = _dedupe(w, rng, (lo, hi))
     return WeightField(dom, w)
 
 
@@ -150,25 +153,27 @@ def verify_theorem3_preconditions(g: OutMap, dom=None) -> PreconditionReport:
     missing = np.where(g.active_mask() & (o < 0))[0]
     rep.out_degree_violations = [dom.index_site(int(i)) for i in missing[:32]]
 
-    for cyc in _directed_cycles(g):
-        if len(cyc) < 3:
-            continue
-        if isinstance(dom, Torus) and _winds(cyc, dom):
-            rep.wrapping_cycles.append(cyc)
-        else:
-            rep.long_cycles.append(cyc)
+    cycles = _directed_cycles(g)
+    winds = np.zeros(len(cycles), dtype=bool)
+    if isinstance(dom, Torus) and cycles:
+        src = np.concatenate(cycles)
+        which = np.zeros(dom.n_sites, dtype=np.int64)
+        which[src] = np.repeat(np.arange(len(cycles)), [len(c) for c in cycles])
+        winds = torus_winding(dom, src, o[src], which)
+    for cyc, wound in zip(cycles, winds):
+        sites = [dom.index_site(int(i)) for i in cyc]
+        (rep.wrapping_cycles if wound else rep.long_cycles).append(sites)
     return rep
 
 
 def _directed_cycles(g: OutMap) -> list:
-    """All directed cycles of length >= 3, each reported once.
+    """Flat site indices of every directed cycle of length >= 3, each
+    reported once.
 
     Orbits that neither reach a sink nor a miniloop are exactly the ones
     feeding long cycles; the vectorized terminal map finds those first so the
     per-vertex walk only runs when witnesses actually exist.
     """
-    from .nngraph import terminal_map
-
     o = g.out_index
     suspects = np.where(terminal_map(g) == -2)[0]
     if not suspects.size:
@@ -183,8 +188,7 @@ def _directed_cycles(g: OutMap) -> list:
         u = int(s)
         while True:
             if color[u] == 1:
-                k = path.index(u)
-                cycles.append([g.dom.index_site(i) for i in path[k:]])
+                cycles.append(path[path.index(u):])
                 break
             if color[u] == 2:
                 break
@@ -197,13 +201,6 @@ def _directed_cycles(g: OutMap) -> list:
         for i in path:
             color[i] = 2
     return cycles
-
-
-def _winds(cycle_sites: list, dom: Torus) -> bool:
-    total = np.zeros(dom.d, dtype=np.int64)
-    for a, b in zip(cycle_sites, cycle_sites[1:] + cycle_sites[:1]):
-        total += np.asarray(dom.displacement(a, b))
-    return bool(np.any(total != 0))
 
 
 # ---- the constructor ------------------------------------------------------------
@@ -257,7 +254,7 @@ def construct_weights(g: OutMap, dom=None, rng: Optional[SeededRng] = None) -> W
 
     lo = np.where(carried, 1.0 / (v_count + 1.0), 1.0).reshape(-1)
     hi = np.where(carried, 1.0 / np.maximum(v_count, 1), 2.0).reshape(-1)
-    w = _dedupe(dom, w, rng, (lo, hi))
+    w = _dedupe(w, rng, (lo, hi))
     return WeightField(dom, w)
 
 

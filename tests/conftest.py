@@ -28,6 +28,21 @@ def vertex_priority_digraph(dom, seed: int) -> OutMap:
     return OutMap(dom, out)
 
 
+def random_outmap(dom, seed: int) -> OutMap:
+    """Arbitrary out-map: each site points at a random neighbor, with a random
+    bias among the 2d directions (strong biases make orbits wind around a
+    torus) and a random share of sites left without an out-edge.  Long
+    directed cycles, winding or not, are allowed."""
+    rng = np.random.default_rng(seed)
+    n = dom.n_sites
+    bias = rng.random(2 * dom.d) ** 3 if rng.random() < 0.5 else np.ones(2 * dom.d)
+    choice = rng.choice(2 * dom.d, n, p=bias / bias.sum())
+    targets = np.stack([dom.neighbor_index(a, s) for a in range(dom.d) for s in (1, -1)])
+    out = targets[choice, np.arange(n)]
+    out[rng.random(n) < rng.choice([0.0, 0.05, 0.2])] = -1
+    return OutMap(dom, out)
+
+
 def brute_force_nn(w) -> dict:
     """Per-vertex argmin over incident edges, the slow way."""
     dom = w.dom

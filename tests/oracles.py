@@ -1,0 +1,366 @@
+"""Per-site reference implementations that the tests compare the package against.
+
+Each function here recomputes something the package computes with array code,
+the slow and obvious way: union-find and flood fill over site tuples, forward
+walks one edge at a time, lifts of a component to the covering lattice.  None
+of them is used by the package itself.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
+
+from nnlab.errors import SpecError
+from nnlab.generators import gen_dyadic_i
+from nnlab.lattice import Site, Torus, canonical_edge
+from nnlab.nngraph import OutMap, PathTrace, TwoCycle, forward_path
+from nnlab.rng import SeededRng
+
+
+class UnionFind:
+    """Small hashable-item union-find with path compression and union by size."""
+
+    def __init__(self, items=()):
+        self.parent = {}
+        self.size = {}
+        for it in items:
+            self.add(it)
+
+    def add(self, item):
+        if item not in self.parent:
+            self.parent[item] = item
+            self.size[item] = 1
+
+    def find(self, item):
+        root = item
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[item] != root:
+            self.parent[item], item = root, self.parent[item]
+        return root
+
+    def union(self, a, b) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        return True
+
+    def groups(self) -> list:
+        by_root = {}
+        for item in self.parent:
+            by_root.setdefault(self.find(item), []).append(item)
+        return sorted(sorted(g) for g in by_root.values())
+
+
+# ---- planar site components and closures -------------------------------------------
+
+
+def site_components(V: Iterable, window) -> list:
+    """Partition V into maximal site-connected (L1-adjacent) subsets."""
+    sites = sorted(set(V))
+    uf = UnionFind(sites)
+    member = set(sites)
+    for x in sites:
+        for a in range(window.d):
+            y = window.axis_neighbor(x, a, +1)
+            if y is not None and y in member:
+                uf.union(x, y)
+    return uf.groups()
+
+
+def flood_fill_components(V: Iterable, window) -> list:
+    """BFS reference implementation; oracle for site_components."""
+    member = set(V)
+    out = []
+    while member:
+        start = min(member)
+        comp = {start}
+        queue = [start]
+        while queue:
+            u = queue.pop()
+            for v in window.neighbors(u):
+                if v in member and v not in comp:
+                    comp.add(v)
+                    queue.append(v)
+        member -= comp
+        out.append(sorted(comp))
+    return sorted(out)
+
+
+def face_depth(x: Site, box) -> int:
+    """L-infinity distance from x to the complement of the box."""
+    return 1 + min(min(c - l, h - c) for c, l, h in zip(x, box.lo, box.hi))
+
+
+def touches_boundary(sites: Iterable, window) -> bool:
+    if isinstance(window, Torus):
+        return False
+    return any(face_depth(x, window) == 1 for x in sites)
+
+
+def lift_winds(start: Site, steps, window: Torus) -> bool:
+    """Lift a connected site set to the covering lattice, walking from start;
+    ``steps(u)`` lists the (neighbor, minimal displacement) pairs to follow
+    from u.  Reaching a site at two different lifts means the set winds."""
+    pos = {start: (0,) * window.d}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for v, dv in steps(u):
+            cand = tuple(p + t for p, t in zip(pos[u], dv))
+            if v not in pos:
+                pos[v] = cand
+                stack.append(v)
+            elif pos[v] != cand:
+                return True
+    return False
+
+
+def component_wraps(comp: list, window: Torus) -> bool:
+    """Lift a site component along its lattice adjacencies."""
+    member = set(comp)
+
+    def steps(u):
+        for a in range(window.d):
+            for sgn in (+1, -1):
+                v = window.axis_neighbor(u, a, sgn)
+                if v in member:
+                    yield v, tuple(sgn if i == a else 0 for i in range(window.d))
+
+    return lift_winds(comp[0], steps, window)
+
+
+def closure_reference(V: Iterable, window) -> set:
+    """Pure-python route to closure(V): V plus every complement site-component
+    that neither touches a box face nor wraps around a torus."""
+    vs = set(V)
+    out = set(vs)
+    comp_sites = [x for x in window.sites() if x not in vs]
+    for comp in site_components(comp_sites, window):
+        if isinstance(window, Torus):
+            if not component_wraps(comp, window):
+                out.update(comp)
+        elif not touches_boundary(comp, window):
+            out.update(comp)
+    return out
+
+
+def outmap_wrapping_components(g: OutMap) -> set:
+    """Components of the undirected version of g on a torus that wind, each
+    as a frozenset of sites, by lifting the component along its own edges."""
+    dom = g.dom
+    adj: dict = {}
+    for x, y in g.items():
+        adj.setdefault(x, []).append((y, dom.displacement(x, y)))
+        adj.setdefault(y, []).append((x, dom.displacement(y, x)))
+    seen: set = set()
+    out = set()
+    for x in dom.sites():
+        if x in seen or x not in adj:
+            continue
+        comp = {x}
+        stack = [x]
+        while stack:
+            u = stack.pop()
+            for v, _ in adj[u]:
+                if v not in comp:
+                    comp.add(v)
+                    stack.append(v)
+        seen |= comp
+        if lift_winds(x, lambda u: adj[u], dom):
+            out.add(frozenset(comp))
+    return out
+
+
+# ---- backward sets -----------------------------------------------------------------
+
+
+def backward_set(x: Site, g: OutMap) -> set:
+    """All y whose forward orbit passes through x, including x itself."""
+    dom = g.dom
+    rev: dict = {}
+    o = g.out_index
+    for i in range(dom.n_sites):
+        if o[i] >= 0:
+            rev.setdefault(int(o[i]), []).append(i)
+    start = dom.site_index(x)
+    seen = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for v in rev.get(u, ()):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return {dom.index_site(i) for i in seen}
+
+
+# ---- iid connection probability -----------------------------------------------------
+
+
+def exhaustive_connection_check(L: int, n: int, seeds) -> tuple:
+    """Independent oracle for p(n): per seed, brute-force per-vertex argmin and
+    union-find labeling, then translate-average by scanning all sites."""
+    from nnlab.weights import sample_iid_uniform
+
+    dom = Torus((L, L))
+    total = 0
+    hit = 0
+    for seed in seeds:
+        w = sample_iid_uniform(dom, SeededRng(int(seed)))
+        uf = UnionFind(dom.sites())
+        for x in dom.sites():
+            best = None
+            bw = None
+            for y in dom.neighbors(x):
+                wt = w.weight((x, y) if x <= y else (y, x))
+                if bw is None or wt < bw:
+                    bw, best = wt, y
+            uf.union(x, best)
+        for x in dom.sites():
+            y = dom.wrap((x[0] + n, x[1]))
+            total += 1
+            hit += uf.find(x) == uf.find(y)
+    return hit, total
+
+
+# ---- generators ---------------------------------------------------------------------
+
+
+def zm_class_sites(dom: Torus, shift: tuple, parity: int) -> list:
+    """Sites of the up-right class (parity 0: both coords even before the
+    shift) or the down-left class (parity 1)."""
+    out = []
+    for x in range(dom.sides[0]):
+        for y in range(dom.sides[1]):
+            if (x - shift[0]) % 2 == parity and (y - shift[1]) % 2 == parity:
+                out.append((x, y))
+    return out
+
+
+def forward_closure(g: OutMap, starts: Sequence[Site]) -> set:
+    """All sites reachable from the starts by following out-edges."""
+    o = g.out_index
+    seen = set(g.dom.site_index(x) for x in starts)
+    stack = list(seen)
+    while stack:
+        i = stack.pop()
+        j = int(o[i])
+        if j >= 0 and j not in seen:
+            seen.add(j)
+            stack.append(j)
+    return {g.dom.index_site(i) for i in seen}
+
+
+def dyadic_out(v: Site) -> Site:
+    """Out-neighbor of a nonzero orthant site under the unshifted rule."""
+    ax = gen_dyadic_i(v) - 1
+    return tuple(c - 1 if a == ax else c for a, c in enumerate(v))
+
+
+def stretched_segment_edges(case: str, k: int, base: Site, axis: int) -> list:
+    """Directed edges replacing one coarse edge {x, x+e_axis} under the
+    4k-stretch; ``base`` is the lattice point 4k*x.  Case c leaves the middle
+    edge unoriented, pointing each half toward its nearer segment endpoint."""
+    s = 4 * k
+    pts = [tuple(c + (l if a == axis else 0) for a, c in enumerate(base)) for l in range(s + 1)]
+    if case == "a":
+        return [(pts[l], pts[l + 1]) for l in range(s)]
+    if case == "b":
+        return [(pts[l + 1], pts[l]) for l in range(s)]
+    if case == "c":
+        back = [(pts[l], pts[l - 1]) for l in range(1, 2 * k + 1)]
+        fwd = [(pts[l], pts[l + 1]) for l in range(2 * k + 1, s)]
+        return back + fwd
+    raise SpecError(f"unknown segment case {case!r}")
+
+
+# ---- per-site path and structure checks ---------------------------------------------
+
+
+def check_monotone_decreasing(trace: PathTrace, w) -> bool:
+    """Strict weight decrease along the self-avoiding part of the trace."""
+    edges = trace.edges()
+    if isinstance(trace.terminal, TwoCycle):
+        edges = edges[:-1]  # final edge re-traverses the miniloop edge
+    vals = [w.weight(e) for e in edges]
+    return all(a > b for a, b in zip(vals, vals[1:]))
+
+
+def infimum_supremum_along(trace: PathTrace, w) -> tuple:
+    edges = trace.edges()
+    if not edges:
+        raise SpecError("trace has no edges; infimum/supremum undefined")
+    vals = [w.weight(e) for e in edges]
+    return min(vals), max(vals)
+
+
+def r_descendant(x: Site, r: float, g: OutMap, w) -> Optional[Site]:
+    """Last vertex along the forward orbit of x whose out-edge weighs >= r."""
+    trace = forward_path(x, g)
+    verts = trace.vertices[:-1] if isinstance(trace.terminal, TwoCycle) else trace.vertices
+    wout = []
+    for a, b in zip(trace.vertices, trace.vertices[1:]):
+        wout.append(w.weight(canonical_edge(a, b)))
+    best = None
+    for v, wv in zip(verts, wout):
+        if wv >= r:
+            best = v
+    return best
+
+
+@dataclass
+class ComponentStructureReport:
+    size: int
+    undirected_edges: int
+    is_tree: bool
+    miniloop_count: int
+    orientation_ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.is_tree and self.miniloop_count == 1 and self.orientation_ok
+
+
+def verify_component_structure(component_sites: Iterable, g: OutMap) -> ComponentStructureReport:
+    """Check one component against the finite-cluster description: a tree whose
+    directed edges all point toward its unique miniloop."""
+    dom = g.dom
+    idx = sorted(dom.site_index(x) for x in component_sites)
+    members = set(idx)
+    o = g.out_index
+    und = set()
+    directed = []
+    for i in idx:
+        j = int(o[i])
+        if j >= 0 and j in members:
+            und.add((min(i, j), max(i, j)))
+            directed.append((i, j))
+    two = sorted({(min(i, j), max(i, j)) for i, j in directed if int(o[j]) == i})
+    is_tree = len(und) == len(idx) - 1
+    orientation_ok = True
+    if len(two) == 1:
+        loop = set(two[0])
+        for i in idx:
+            tr = forward_path(dom.index_site(i), g)
+            if not isinstance(tr.terminal, TwoCycle):
+                orientation_ok = False
+                break
+            u, v = tr.terminal.u, tr.terminal.v
+            if {dom.site_index(u), dom.site_index(v)} != loop:
+                orientation_ok = False
+                break
+    else:
+        orientation_ok = False
+    return ComponentStructureReport(
+        size=len(idx),
+        undirected_edges=len(und),
+        is_tree=is_tree,
+        miniloop_count=len(two),
+        orientation_ok=orientation_ok,
+    )

@@ -11,7 +11,6 @@ from nnlab.errors import DomainError, SpecError, StructureError
 from nnlab.lattice import Box, Torus
 from nnlab.nngraph import (
     OutMap,
-    backward_set,
     forward_path,
     two_cycle_mask,
     undirected_components,
@@ -21,10 +20,8 @@ from nnlab.generators import (
     GeneratorSpec,
     dyadic_backward_size,
     dyadic_in_neighbors,
-    dyadic_out,
     fill_region,
     finite_k_membership,
-    forward_closure,
     gen_dyadic_i,
     gen_dyadic_k,
     gen_dyadic_window,
@@ -33,10 +30,10 @@ from nnlab.generators import (
     gen_zerner_merkl,
     modify_type_c,
     sample_dyadic_shift,
-    stretched_segment_edges,
-    zm_class_sites,
 )
 from nnlab.weights import verify_theorem3_preconditions
+
+from oracles import dyadic_out, forward_closure, stretched_segment_edges, zm_class_sites
 
 
 # ---- Zerner-Merkl -----------------------------------------------------------------

@@ -18,6 +18,8 @@ from nnlab.lattice import (
     star_neighbors,
 )
 
+from oracles import face_depth
+
 
 def test_box_1d_boundary_truncation():
     dom = Box((0,), (2,))
@@ -147,10 +149,12 @@ def test_box_interior_degree(lo, extent, coord_seed):
     lo = tuple(lo[:d])
     hi = tuple(l + e for l, e in zip(lo, extent[:d]))
     dom = Box(lo, hi)
-    x = dom.index_site(coord_seed % dom.n_sites)
+    i = coord_seed % dom.n_sites
+    x = dom.index_site(i)
     nb = neighbors(x, dom)
-    if dom.is_interior(x):
-        assert len(nb) == 2 * d
+    depth = dom.face_depths()[i]
+    assert depth == face_depth(x, dom)
+    assert (len(nb) == 2 * d) == (depth >= 2)
     assert set(nb) <= set(star_neighbors(x, dom))
 
 

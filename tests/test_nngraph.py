@@ -13,22 +13,26 @@ from nnlab.nngraph import (
     ExitedDomain,
     OutMap,
     TwoCycle,
-    backward_set,
     backward_sizes,
     build_nn_directed,
-    check_monotone_decreasing,
     forward_path,
-    infimum_supremum_along,
-    r_descendant,
     two_cycle_mask,
     undirected_components,
     verify_all_components,
-    verify_component_structure,
 )
 from nnlab.rng import SeededRng
-from nnlab.weights import sample_iid_uniform
+from nnlab.generators import gen_zerner_merkl
+from nnlab.weights import sample_iid_uniform, verify_theorem3_preconditions
 
-from conftest import brute_force_components, brute_force_nn, vertex_priority_digraph
+from conftest import brute_force_components, brute_force_nn, random_outmap, vertex_priority_digraph
+from oracles import (
+    backward_set,
+    check_monotone_decreasing,
+    infimum_supremum_along,
+    outmap_wrapping_components,
+    r_descendant,
+    verify_component_structure,
+)
 
 
 def test_1d_example_out_map(path_graph_1d):
@@ -64,6 +68,7 @@ def test_empty_outmap_singletons():
     lab = undirected_components(g)
     assert lab.n_components == dom.n_sites
     assert set(lab.sizes.tolist()) == {1}
+    assert g.meta == {}
 
 
 def test_components_match_brute_force():
@@ -116,12 +121,16 @@ def test_backward_set_examples(path_graph_1d):
 
 
 def test_backward_sizes_match_bfs():
-    dom = Torus((5, 5))
-    g = vertex_priority_digraph(dom, 77)
-    sizes = backward_sizes(g)
-    for i in range(dom.n_sites):
-        x = dom.index_site(i)
-        assert sizes[i] == len(backward_set(x, g))
+    # long and winding cycles included: their sites share the cycle's basin
+    for g in (
+        vertex_priority_digraph(Torus((5, 5)), 77),
+        random_outmap(Torus((6, 5)), 9),  # one long cycle, one winding cycle
+        random_outmap(Box((0, 0), (5, 6)), 24),  # two long cycles
+        gen_zerner_merkl(16, SeededRng(7)),
+    ):
+        sizes = backward_sizes(g)
+        for i in range(g.dom.n_sites):
+            assert sizes[i] == len(backward_set(g.dom.index_site(i), g))
 
 
 def test_backward_forward_consistency():
@@ -246,8 +255,6 @@ def test_duplicate_weights_rejected():
 
 def test_winding_components_are_not_judged():
     # Zerner-Merkl: two trees whose cycles wind around the torus
-    from nnlab.generators import gen_zerner_merkl
-
     g = gen_zerner_merkl(16, SeededRng(7))
     lab = undirected_components(g)
     assert lab.wrapping.all()
@@ -255,9 +262,36 @@ def test_winding_components_are_not_judged():
     assert rep.ok and rep.long_cycle_free and rep.components_checked == 0
 
     # a directed unit square on a torus winds nowhere and still fails
+    rep = verify_all_components(_unit_square_on_torus())
+    assert not rep.long_cycle_free and not rep.ok
+
+
+def _unit_square_on_torus():
     dom = Torus((6, 6))
     g = build_nn_directed(sample_iid_uniform(dom, SeededRng(5)))
     for x, y in (((0, 0), (1, 0)), ((1, 0), (1, 1)), ((1, 1), (0, 1)), ((0, 1), (0, 0))):
         g.set_out(x, y)
-    rep = verify_all_components(g)
-    assert not rep.long_cycle_free and not rep.ok
+    return g
+
+
+def _check_wrapping_against_lift(g):
+    lab = undirected_components(g)
+    got = {frozenset(lab.vertices_of(c)) for c in np.flatnonzero(lab.wrapping)}
+    want = outmap_wrapping_components(g)
+    assert got == want
+    # a component winds exactly when its directed cycle does
+    comp_of = {x: comp for comp in map(frozenset, brute_force_components(g)) for x in comp}
+    pre = verify_theorem3_preconditions(g)
+    assert {comp_of[c[0]] for c in pre.wrapping_cycles} == want
+    assert not {comp_of[c[0]] for c in pre.long_cycles} & want
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**9), sides=st.sampled_from([(5, 5), (6, 6)]))
+def test_wrapping_matches_lift_oracle_random(seed, sides):
+    _check_wrapping_against_lift(random_outmap(Torus(sides), seed))
+
+
+def test_wrapping_matches_lift_oracle_examples():
+    _check_wrapping_against_lift(gen_zerner_merkl(16, SeededRng(7)))
+    _check_wrapping_against_lift(_unit_square_on_torus())

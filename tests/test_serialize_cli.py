@@ -236,13 +236,63 @@ def test_cli_export_dyadic_window(tmp_path):
 
 
 def test_cli_census_threads_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("NN_LAB_THREADS", "2")
-    runner = CliRunner()
-    out = tmp_path / "c"
-    res = runner.invoke(
+    # the records, in seed order, do not depend on the worker count
+    stable = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("NN_LAB_THREADS", threads)
+        out = tmp_path / threads
+        res = CliRunner().invoke(
+            main, ["census", "--model", "zerner_merkl", "--torus", "12x12",
+                   "--seeds", "0..3", "--verify-structure", "--out", str(out)]
+        )
+        assert res.exit_code == 0, res.output
+        recs = [json.loads(line) for line in (out / "census.jsonl").read_text().splitlines()]
+        for r in recs:
+            del r["runtime_s"]
+        assert [r["seed"] for r in recs] == [0, 1, 2, 3]
+        stable[threads] = [json.dumps(r, sort_keys=True) for r in recs]
+    assert stable["1"] == stable["2"]
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+def test_cli_census_bad_threads_env(tmp_path, monkeypatch, value):
+    monkeypatch.setenv("NN_LAB_THREADS", value)
+    res = CliRunner().invoke(
         main, ["census", "--model", "zerner_merkl", "--torus", "12x12",
-               "--seeds", "0..3", "--out", str(out)]
+               "--seeds", "0..1", "--out", str(tmp_path / "c")]
+    )
+    assert res.exit_code == 2
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "NN_LAB_THREADS" in lines[0]
+    assert "Traceback" not in res.output
+
+
+def test_cli_census_pool_no_larger_than_seed_list(tmp_path, monkeypatch):
+    # a fake executor records the pool size and runs the work in-process, so
+    # no worker process is started whatever NN_LAB_THREADS says
+    import concurrent.futures
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setenv("NN_LAB_THREADS", "64")
+    res = CliRunner().invoke(
+        main, ["census", "--model", "zerner_merkl", "--torus", "12x12",
+               "--seeds", "0..2", "--out", str(tmp_path / "c")]
     )
     assert res.exit_code == 0, res.output
-    lines = (out / "census.jsonl").read_text().strip().splitlines()
-    assert [json.loads(l)["seed"] for l in lines] == [0, 1, 2, 3]
+    assert sizes == [3]
+

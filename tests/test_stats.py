@@ -7,7 +7,7 @@ import pytest
 
 from nnlab.errors import SpecError
 from nnlab.lattice import Box, Torus
-from nnlab.nngraph import OutMap, backward_set, build_nn_directed, forward_path, r_descendant
+from nnlab.nngraph import OutMap, build_nn_directed, forward_path
 from nnlab.rng import SeededRng
 from nnlab.generators import GeneratorSpec, gen_zerner_merkl, modify_type_c
 from nnlab.stats import (
@@ -21,13 +21,13 @@ from nnlab.stats import (
     connection_probability_curve,
     default_descendant_threshold,
     dyadic_tail_samples,
-    exhaustive_connection_check,
     r_descendant_map,
     transport_balance,
 )
 from nnlab.weights import construct_weights, sample_iid_uniform
 
 from conftest import vertex_priority_digraph
+from oracles import backward_set, exhaustive_connection_check, r_descendant
 
 
 def test_transport_requires_torus():
@@ -151,6 +151,11 @@ def test_connection_curve_small():
     assert curve.p[0] == 1.0
     assert curve.p[0] > curve.p[1] > curve.p[2] > 0
     assert curve.effective_samples == 2 * 64 * 64
+
+
+def test_connection_curve_block_must_divide_L():
+    with pytest.raises(SpecError, match="divide"):
+        connection_probability_curve(L=48, d=2, distances=[1], seeds=[1], block=32)
 
 
 def test_connection_p1_matches_exhaustive_oracle():

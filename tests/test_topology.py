@@ -22,12 +22,12 @@ from nnlab.topology import (
     classify_regions,
     closure,
     dual_boundary,
-    flood_fill_components,
     interior_dual_degrees,
-    site_components,
     star_boundary_path,
 )
 from nnlab.weights import sample_iid_uniform
+
+from oracles import closure_reference, flood_fill_components, site_components
 
 
 WIN = Box((-6, -6), (9, 9))
@@ -73,8 +73,6 @@ def test_closure_idempotent_and_complement_unbounded(bits):
 @settings(max_examples=40, deadline=None)
 @given(bits=st.integers(0, 2**25 - 1))
 def test_closure_fast_matches_reference_box(bits):
-    from nnlab.topology import closure_reference
-
     win = Box((0, 0), (4, 4))
     sites = {(i % 5, i // 5) for i in range(25) if (bits >> i) & 1}
     assert closure(sites, win) == closure_reference(sites, win)
@@ -83,8 +81,6 @@ def test_closure_fast_matches_reference_box(bits):
 @settings(max_examples=40, deadline=None)
 @given(bits=st.integers(0, 2**36 - 1))
 def test_closure_fast_matches_reference_torus(bits):
-    from nnlab.topology import closure_reference
-
     t = Torus((6, 6))
     sites = {(i % 6, i // 6) for i in range(36) if (bits >> i) & 1}
     assert closure(sites, t) == closure_reference(sites, t)

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from nnlab.errors import ConstructionError
 from nnlab.lattice import Box, Torus
-from nnlab.nngraph import OutMap, backward_set, build_nn_directed
+from nnlab.nngraph import OutMap, build_nn_directed
 from nnlab.rng import SeededRng
 from nnlab.weights import (
+    _dedupe,
     construct_weights,
     round_trip_matches,
     sample_iid_uniform,
@@ -19,6 +20,7 @@ from nnlab.weights import (
 )
 
 from conftest import vertex_priority_digraph
+from oracles import backward_set
 
 
 def test_same_seed_identical_fields():
@@ -157,3 +159,29 @@ def test_nn_graph_of_constructed_weights_matches_everywhere_on_torus():
     g = vertex_priority_digraph(dom, 123)
     w = construct_weights(g, rng=SeededRng(7))
     assert build_nn_directed(w) == g
+
+
+def _first_redraw(rng, slot):
+    return float(rng.child("dedupe", slot).uniform_open())
+
+
+def test_dedupe_first_redraw_unchanged():
+    # one tie: the later slot takes its first-attempt draw, as it always has
+    rng = SeededRng(0)
+    w = np.array([[0.5, 0.3, 0.5, 0.25, np.nan]])
+    out = _dedupe(w.copy(), rng, (np.zeros(5), np.ones(5)))
+    assert out[0, 2] == _first_redraw(rng, 2)
+    assert out[0, [0, 1, 3]].tolist() == [0.5, 0.3, 0.25]
+
+
+def test_dedupe_retry_draws_a_new_value():
+    # slot 2 ties slot 0, and its first redraw lands on slot 1's value; the
+    # retry must not repeat that redraw
+    rng = SeededRng(0)
+    u2 = _first_redraw(rng, 2)
+    w = np.array([[0.5, u2, 0.5, 0.25, np.nan]])
+    out = _dedupe(w.copy(), rng, (np.zeros(5), np.ones(5)))
+    vals = out[0, :4]
+    assert len(set(vals.tolist())) == 4
+    assert vals[[0, 1, 3]].tolist() == [0.5, u2, 0.25]
+    assert vals[2] not in (0.5, u2)
