@@ -88,6 +88,8 @@ def _load_spec(spec_file, model, torus, box, seed_opts) -> GeneratorSpec:
     doc = {}
     if spec_file:
         doc = json.loads(Path(spec_file).read_text())
+        if not isinstance(doc, dict):
+            raise SpecError(f"{spec_file}: a generator spec must be a JSON object")
     if model:
         doc["variant"] = model
     dom = _parse_domain(torus, box)

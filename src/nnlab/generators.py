@@ -29,6 +29,7 @@ from .errors import DomainError, SpecError, StructureError
 from .lattice import Box, Site, Torus, flat_strides
 from .nngraph import OutMap, backward_sizes
 from .rng import SeededRng
+from .serialize import domain_from_dict, domain_to_dict
 
 # ---- Zerner-Merkl ------------------------------------------------------------------
 
@@ -467,12 +468,24 @@ def _level(params: dict) -> int:
     return n
 
 
+# The parameters from_dict reads for each variant, and their kinds; a kind
+# ending in "?" may be left out.  Other keys are kept as given.
+_PARAMS = {
+    "iid": {"domain": "domain"},
+    "zerner_merkl": {"L": "int"},
+    "dyadic": {"window": "box", "n": "int?", "Z": "ints?"},
+    "layered": {"base": "spec", "layers": "int"},
+    "finite_k": {"k": "int", "window": "box", "n": "int?"},
+    "type_c": {"base": "spec"},
+}
+
+
 class GeneratorSpec:
     """JSON-round-trippable description of a random graph model."""
 
-    VARIANTS = ("iid", "zerner_merkl", "dyadic", "layered", "finite_k", "type_c")
+    VARIANTS = tuple(_PARAMS)
 
-    def __init__(self, variant: str, **params):
+    def __init__(self, variant: str, /, **params):
         if variant not in self.VARIANTS:
             raise SpecError(f"unknown generator variant {variant!r}")
         self.variant = variant
@@ -484,31 +497,47 @@ class GeneratorSpec:
         def enc(v):
             if isinstance(v, GeneratorSpec):
                 return v.to_dict()
-            if isinstance(v, Box):
-                return {"kind": "box", "lo": list(v.lo), "hi": list(v.hi)}
-            if isinstance(v, Torus):
-                return {"kind": "torus", "sides": list(v.sides)}
+            if isinstance(v, (Box, Torus)):
+                return domain_to_dict(v)
             return v
 
         return {"variant": self.variant, **{k: enc(v) for k, v in self.params.items()}}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GeneratorSpec":
+        """Decode a spec document; SpecError unless every parameter the
+        variant reads is present (or optional) and of the right kind."""
+        if not isinstance(doc, dict):
+            raise SpecError(f"a generator spec must be a JSON object, got {doc!r}")
         doc = dict(doc)
         variant = doc.pop("variant", None)
         if variant is None:
             raise SpecError("generator document needs a 'variant' key")
+        if variant not in cls.VARIANTS:
+            raise SpecError(f"unknown generator variant {variant!r}")
+        for key, kind in _PARAMS[variant].items():
+            if key in doc:
+                doc[key] = cls._decode(variant, key, kind.rstrip("?"), doc[key])
+            elif not kind.endswith("?"):
+                raise SpecError(f"{variant} spec needs {key!r}")
+        return cls(variant, **doc)
 
-        def dec(key, v):
-            if isinstance(v, dict) and v.get("kind") == "box":
-                return Box(tuple(v["lo"]), tuple(v["hi"]))
-            if isinstance(v, dict) and v.get("kind") == "torus":
-                return Torus(tuple(v["sides"]))
-            if isinstance(v, dict) and "variant" in v:
-                return cls.from_dict(v)
-            return v
-
-        return cls(variant, **{k: dec(k, v) for k, v in doc.items()})
+    @classmethod
+    def _decode(cls, variant: str, key: str, kind: str, v):
+        if kind == "spec":
+            if not isinstance(v, dict):
+                raise SpecError(f"{variant} {key!r} must be a generator spec object, got {v!r}")
+            return cls.from_dict(v)
+        if kind in ("domain", "box"):
+            dom = domain_from_dict(v)
+            if kind == "box" and not isinstance(dom, Box):
+                raise SpecError(f"{variant} {key!r} must be a box, got {v!r}")
+            return dom
+        if kind == "int" and type(v) is not int:
+            raise SpecError(f"{variant} {key!r} must be an integer, got {v!r}")
+        if kind == "ints" and not (isinstance(v, list) and all(type(c) is int for c in v)):
+            raise SpecError(f"{variant} {key!r} must be a list of integers, got {v!r}")
+        return v
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

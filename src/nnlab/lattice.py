@@ -62,6 +62,12 @@ class _DomainBase:
             i //= n
         return tuple(c + lo for c, lo in zip(reversed(coords), self._lo))
 
+    def index_sites(self, idx) -> list:
+        """Sites of an array of flat indices, as tuples in the same order."""
+        rel = np.unravel_index(np.asarray(idx, dtype=np.int64), self.shape)
+        coords = np.stack(rel, axis=-1) + np.asarray(self._lo, dtype=np.int64)
+        return list(map(tuple, coords.tolist()))
+
     def index_coords(self) -> np.ndarray:
         """(n_sites, d) int64 array of coordinates in flat-index order."""
         grids = np.indices(self.shape).reshape(self.d, -1)

@@ -188,7 +188,7 @@ class ComponentLabeling:
         return int(self.labels[self.dom.site_index(x)])
 
     def vertices_of(self, cid: int) -> list:
-        return [self.dom.index_site(int(i)) for i in np.where(self.labels == cid)[0]]
+        return self.dom.index_sites(np.flatnonzero(self.labels == cid))
 
     def count(self, kind: str) -> int:
         if kind == "total":
@@ -224,7 +224,10 @@ def label_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Labels 0..k-1 of the components of the undirected graph on n vertices
     with edges {src[i], dst[i]}, numbered in order of each component's least
     vertex (Hoshen-Kopelman cluster labeling)."""
-    mat = sp.coo_matrix((np.ones(len(src), dtype=np.int8), (src, dst)), shape=(n, n))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    order = np.argsort(src, kind="stable")
+    mat = sp.csr_matrix((np.ones(len(src)), dst[order], indptr), shape=(n, n))
     return connected_components(mat, directed=False)[1].astype(np.int64)
 
 
@@ -237,21 +240,25 @@ def torus_winding(dom: Torus, src: np.ndarray, dst: np.ndarray, labels: np.ndarr
     multiple of the side per axis); a piece reached at two different offsets
     means its component winds."""
     seam = np.zeros(len(src), dtype=bool)
-    offsets = []
+    units = []
     for stride, side in zip(flat_strides(dom.shape), dom.sides):
         delta = (dst // stride) % side - (src // stride) % side
-        off = -np.round(delta / side).astype(np.int64) * side
-        seam |= off != 0
-        offsets.append(off)
+        units.append(-np.round(delta / side).astype(np.int64))
+        seam |= units[-1] != 0
     cut = label_components(dom.n_sites, src[~seam], dst[~seam])
 
+    # Lift offsets, in sides per axis, packed into one integer in base 2k+1
+    # for k seam edges: a tree path plus one more seam edge uses at most k of
+    # them, so every offset compared stays in [-k, k] per axis.
+    s, t = src[seam], dst[seam]
+    base = 2 * len(s) + 1
+    seam_units = zip(*(u[seam].tolist() for u in units))
+    codes = [sum(u * base**a for a, u in enumerate(us)) for us in seam_units]
     adj: dict = {}
     piece_label: dict = {}
-    s, t = src[seam], dst[seam]
-    seam_offsets = zip(*(off[seam].tolist() for off in offsets))
-    for cu, cv, lab, off in zip(cut[s].tolist(), cut[t].tolist(), labels[s].tolist(), seam_offsets):
+    for cu, cv, lab, off in zip(cut[s].tolist(), cut[t].tolist(), labels[s].tolist(), codes):
         adj.setdefault(cu, []).append((cv, off))
-        adj.setdefault(cv, []).append((cu, tuple(-x for x in off)))
+        adj.setdefault(cv, []).append((cu, -off))
         piece_label[cu] = piece_label[cv] = lab
 
     winds = np.zeros(int(labels.max()) + 1, dtype=bool)
@@ -259,16 +266,15 @@ def torus_winding(dom: Torus, src: np.ndarray, dst: np.ndarray, labels: np.ndarr
     for start in adj:
         if start in pos:
             continue
-        pos[start] = (0,) * dom.d
+        pos[start] = 0
         stack = [start]
         while stack:
             u = stack.pop()
             for v, off in adj[u]:
-                cand = tuple(p + x for p, x in zip(pos[u], off))
                 if v not in pos:
-                    pos[v] = cand
+                    pos[v] = pos[u] + off
                     stack.append(v)
-                elif pos[v] != cand:
+                elif pos[v] != pos[u] + off:
                     winds[piece_label[start]] = True
     return winds
 

@@ -4,6 +4,10 @@
 counts as infinite when it touches the window boundary; on a torus, when it
 wraps.  All dual-path degree assertions exempt window-edge dual vertices,
 where clipping truncates the boundary.
+
+Inside the module a set of sites is a boolean mask over flat site indices
+(flat order is lexicographic order); site tuples appear only in arguments
+and results.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import SpecError, StructureError, UnsupportedDimensionError
-from .lattice import Box, Torus, canonical_edge, dual_of, primal_of
+from .lattice import Box, Torus, canonical_edge, primal_of
 from .nngraph import ComponentLabeling, label_components, torus_winding
 
 
@@ -27,11 +31,11 @@ def _check_window(window):
 
 
 class SubsetStructure:
-    """Vectorized site-component labeling of a vertex subset, with the two
-    finite-volume unboundedness proxies per component."""
+    """Vectorized site-component labeling of a vertex subset, with the
+    finite-volume unboundedness proxy per component: touching a box face, or
+    winding around a torus."""
 
     def __init__(self, mask: np.ndarray, window):
-        self.window = window
         self.mask = mask
         src, dst = [], []
         for a in range(window.d):
@@ -41,39 +45,39 @@ class SubsetStructure:
             dst.append(fwd[ok])
         src, dst = np.concatenate(src), np.concatenate(dst)
         self.labels = label_components(window.n_sites, src, dst)
-        ncomp = int(self.labels.max()) + 1
-        self.touching = np.zeros(ncomp, dtype=bool)
-        if isinstance(window, Box):
-            self.touching[self.labels[(window.face_depths() == 1) & mask]] = True
-            self.wrapping = np.zeros(ncomp, dtype=bool)
+        if isinstance(window, Box):  # touching a face
+            self.unbounded = np.zeros(int(self.labels.max()) + 1, dtype=bool)
+            self.unbounded[self.labels[(window.face_depths() == 1) & mask]] = True
         else:
-            self.wrapping = torus_winding(window, src, dst, self.labels)
-
-    def unbounded(self) -> np.ndarray:
-        return self.touching | self.wrapping
+            self.unbounded = torus_winding(window, src, dst, self.labels)
 
     def fill_mask(self) -> np.ndarray:
         """Member sites lying in proxy-finite components."""
-        return self.mask & ~self.unbounded()[self.labels]
+        return self.mask & ~self.unbounded[self.labels]
 
 
-def _mask_of(V: Iterable, window) -> np.ndarray:
+def _sites_mask(V: Iterable, window) -> np.ndarray:
+    """Boolean mask of a collection of sites; DomainError unless every entry is
+    an integer site of the window."""
+    _check_window(window)
     mask = np.zeros(window.n_sites, dtype=bool)
-    for x in V:
-        mask[window.site_index(x)] = True
+    mask[window.coords_index(list(V))] = True
     return mask
+
+
+def _closure_mask(mask: np.ndarray, window) -> np.ndarray:
+    """closure() on masks."""
+    return mask | SubsetStructure(~mask, window).fill_mask()
+
+
+def _site_set(mask: np.ndarray, window) -> set:
+    return set(window.index_sites(np.flatnonzero(mask)))
 
 
 def closure(V: Iterable, window) -> set:
     """V plus every complement site-component that is finite in the proxy
     sense (does not touch a box boundary; on a torus, does not wrap)."""
-    _check_window(window)
-    vs = set(V)
-    st = SubsetStructure(~_mask_of(vs, window), window)
-    out = set(vs)
-    for i in np.where(st.fill_mask())[0]:
-        out.add(window.index_site(int(i)))
-    return out
+    return _site_set(_closure_mask(_sites_mask(V, window), window), window)
 
 
 # ---- dual boundary ---------------------------------------------------------------
@@ -100,29 +104,41 @@ class DualPath:
         return out
 
 
+def _crossed(clo: np.ndarray, window) -> list:
+    """Per axis a, whether the window edge from each site to its forward
+    neighbor along a has exactly one endpoint in clo."""
+    fwd = [window.neighbor_index(a, +1) for a in range(2)]
+    return [(f >= 0) & (clo != clo[f]) for f in fwd]
+
+
+def _boundary_edges(clo: np.ndarray, window) -> list:
+    """boundary_edges() of a closure mask: the dual of a crossed edge from
+    (x, y) along axis a joins (x, y) + (1/2, 1/2) - e_(1-a) to (x, y) + (1/2, 1/2)."""
+    coords = window.index_coords()
+    out = []
+    for a, crossed in enumerate(_crossed(clo, window)):
+        v = coords[crossed] + 0.5
+        u = v - np.eye(2)[1 - a]
+        if isinstance(window, Torus):
+            u %= window.sides  # exact on halves
+        out += map(canonical_edge, map(tuple, u.tolist()), map(tuple, v.tolist()))
+    return sorted(out)
+
+
 def boundary_edges(V: Iterable, window) -> list:
     """Dual edges separating closure(V) from its complement, inside the window."""
-    _check_window(window)
-    clo = closure(V, window)
-    out = []
-    tor = window if isinstance(window, Torus) else None
-    for x in sorted(clo):
-        for a in range(2):
-            for sgn in (+1, -1):
-                y = window.axis_neighbor(x, a, sgn)
-                if y is None or y in clo:
-                    continue
-                out.append(dual_of(canonical_edge(x, y), tor))
-    return sorted(set(out))
+    return _boundary_edges(_closure_mask(_sites_mask(V, window), window), window)
 
 
 def dual_boundary(V: Iterable, window) -> list:
     """Decompose the dual edge boundary of V into maximal paths and circuits,
     each traversed from its lexicographically least vertex with the closure on
     the left."""
-    _check_window(window)
-    edges = boundary_edges(V, window)
-    clo = closure(V, window)
+    clo = _closure_mask(_sites_mask(V, window), window)
+    return _dual_paths(_boundary_edges(clo, window), _site_set(clo, window), window)
+
+
+def _dual_paths(edges: list, clo: set, window) -> list:
     adj: dict = {}
     for e in edges:
         adj.setdefault(e[0], []).append(e)
@@ -134,7 +150,7 @@ def dual_boundary(V: Iterable, window) -> list:
     def walk(start_vertex, first_edge):
         run = [first_edge]
         unused.discard(first_edge)
-        prev, cur = start_vertex, _other_endpoint(first_edge, start_vertex)
+        cur = _other_endpoint(first_edge, start_vertex)
         while True:
             nxt = [e for e in adj[cur] if e in unused]
             if not nxt:
@@ -192,50 +208,33 @@ def _orient(p: DualPath, clo: set, window):
 
 
 def _closure_on_left(u, v, clo: set, window) -> bool:
-    """Left side of the dual step u -> v holds the closure endpoint of the
-    bisected primal edge."""
+    """Whether the site on the left of the dual step u -> v, one end of the
+    primal edge it bisects, is in the closure."""
     du = (v[0] - u[0], v[1] - u[1])
     if isinstance(window, Torus):
         du = tuple((t + s / 2) % s - s / 2 for t, s in zip(du, window.sides))
-    e = primal_of(canonical_edge(u, v), window if isinstance(window, Torus) else None)
-    a, b = e
-    mid = (u[0] + du[0] / 2, u[1] + du[1] / 2)
-    left = (-du[1], du[0])
-    pa = _torus_delta(a, mid, window)
-    side = pa[0] * left[0] + pa[1] * left[1]
-    return (a in clo) if side > 0 else (b in clo)
+    x = (round(u[0] + (du[0] - du[1]) / 2), round(u[1] + (du[0] + du[1]) / 2))
+    return (window.wrap(x) if isinstance(window, Torus) else x) in clo
 
 
-def _torus_delta(site, point, window):
-    dx = site[0] - point[0]
-    dy = site[1] - point[1]
-    if isinstance(window, Torus):
-        sx, sy = window.sides
-        dx = (dx + sx / 2) % sx - sx / 2
-        dy = (dy + sy / 2) % sy - sy / 2
-    return dx, dy
+def _plaquette_degrees(clo: np.ndarray, window) -> tuple:
+    """Lower-left corners i of the plaquettes inside the window, and how many
+    of each one's four sides cross the boundary of clo: the degree in B of the
+    dual vertex i + (1/2, 1/2)."""
+    f0, f1 = window.neighbor_index(0, +1), window.neighbor_index(1, +1)
+    c0, c1 = _crossed(clo, window)
+    ll = np.flatnonzero((f0 >= 0) & (f1 >= 0))
+    deg = c0[ll].astype(np.int64) + c0[f1[ll]] + c1[ll] + c1[f0[ll]]
+    return ll, deg
 
 
 def interior_dual_degrees(V: Iterable, window) -> dict:
     """Degree of each dual vertex of B(V), restricted to dual vertices whose
-    four surrounding primal sites all lie in the window."""
-    edges = boundary_edges(V, window)
-    deg: dict = {}
-    for e in edges:
-        for v in e:
-            deg[v] = deg.get(v, 0) + 1
-    if isinstance(window, Torus):
-        return deg
-    out = {}
-    for v, k in deg.items():
-        corners = [
-            (int(np.floor(v[0])) + dx, int(np.floor(v[1])) + dy)
-            for dx in (0, 1)
-            for dy in (0, 1)
-        ]
-        if all(window.contains(c) for c in corners):
-            out[v] = k
-    return out
+    four surrounding primal sites all lie in the window, in sorted order."""
+    ll, deg = _plaquette_degrees(_closure_mask(_sites_mask(V, window), window), window)
+    on = deg > 0
+    verts = (window.index_coords()[ll[on]] + 0.5).tolist()
+    return {(x, y): k for (x, y), k in zip(verts, deg[on].tolist())}
 
 
 # ---- star boundary path -----------------------------------------------------------
@@ -246,10 +245,9 @@ def star_boundary_path(component_sites: Iterable, window) -> list:
     closure: outside endpoints of the boundary's bisected edges, with the
     common outside site-neighbor inserted between diagonal consecutive pairs.
     """
-    _check_window(window)
-    vset = set(component_sites)
-    clo = closure(vset, window)
-    paths = dual_boundary(vset, window)
+    mask = _closure_mask(_sites_mask(component_sites, window), window)
+    clo = _site_set(mask, window)
+    paths = _dual_paths(_boundary_edges(mask, window), clo, window)
     runs = [p for p in paths if len(p.edges) > 0]
     if len(runs) != 1:
         raise StructureError(
@@ -345,120 +343,125 @@ def infinite_component_ids(labeling: ComponentLabeling) -> list:
 
 def classify_regions(labeling: ComponentLabeling, window) -> RegionClassification:
     """Partition the window into closures of proxy-infinite components (a),
-    unbounded-proxy leftover site-components (b), and bounded leftovers (c)."""
+    unbounded-proxy leftover site-components (b), and bounded leftovers (c).
+
+    The complement of the union U of the type-(a) components is labeled once.
+    A proxy-finite piece of it lies in closure(C) exactly when C is its only
+    type-(a) neighbor: a second one would join it, in the complement of C, to
+    an unbounded set.  So closures never overlap, and the other pieces are
+    the (b)/(c) leftovers."""
     _check_window(window)
     if labeling.dom != window:
         raise SpecError("labeling and window disagree")
-    tags: dict = {}
-    regions: list = []
-    for cid in infinite_component_ids(labeling):
-        sites = labeling.vertices_of(cid)
-        clo = closure(sites, window)
-        rid = len(regions)
-        regions.append(Region("a", rid, sorted(clo), component_id=cid))
-        for x in clo:
-            if x in tags:
-                raise StructureError(f"closures overlap at {x}")
-            tags[x] = ("a", rid)
-    leftover_mask = np.ones(window.n_sites, dtype=bool)
-    for x in tags:
-        leftover_mask[window.site_index(x)] = False
-    st = SubsetStructure(leftover_mask, window)
-    unbounded = st.unbounded()
-    by_comp: dict = {}
-    for i in np.where(leftover_mask)[0]:
-        by_comp.setdefault(int(st.labels[i]), []).append(window.index_site(int(i)))
-    for comp_label in sorted(by_comp, key=lambda c: by_comp[c][0]):
-        comp = by_comp[comp_label]
-        kind = "b" if unbounded[comp_label] else "c"
-        rid = len(regions)
-        regions.append(Region(kind, rid, sorted(comp)))
-        for x in comp:
-            tags[x] = (kind, rid)
-    _fill_star_touches(regions, tags, window)
+    a_ids = infinite_component_ids(labeling)
+    a_rid = np.full(labeling.n_components, -1, dtype=np.int64)
+    a_rid[a_ids] = np.arange(len(a_ids))
+    rid = a_rid[labeling.labels]
+    st = SubsetStructure(rid < 0, window)
+    piece, a_nbr = _neighbor_pairs(np.where(rid < 0, st.labels, -1), rid, _AXIS_STEPS, window)
+    piece, first, count = np.unique(piece, return_index=True, return_counts=True)
+    sole = (count == 1) & ~st.unbounded[piece]
+    piece_rid = np.full(window.n_sites, -1, dtype=np.int64)
+    piece_rid[piece[sole]] = a_nbr[first[sole]]
+    rid = np.where(rid < 0, piece_rid[st.labels], rid)
+
+    left = np.flatnonzero(rid < 0)
+    piece = np.unique(st.labels[left])  # labels follow each piece's least site
+    piece_rid[piece] = len(a_ids) + np.arange(len(piece))
+    rid[left] = piece_rid[st.labels[left]]
+    kinds = ["a"] * len(a_ids) + ["b" if u else "c" for u in st.unbounded[piece]]
+
+    sites = window.index_sites(np.argsort(rid, kind="stable"))
+    ends = np.cumsum(np.bincount(rid)).tolist()
+    regions, tags = [], {}
+    for r, (kind, lo, hi) in enumerate(zip(kinds, [0, *ends], ends)):
+        cid = a_ids[r] if kind == "a" else None
+        regions.append(Region(kind, r, sites[lo:hi], component_id=cid))
+        tags.update(dict.fromkeys(sites[lo:hi], (kind, r)))
+    in_c = np.array([k == "c" for k in kinds])[rid]
+    c_rid, ab_rid = _neighbor_pairs(np.where(in_c, rid, -1), np.where(in_c, -1, rid),
+                                    _STAR_STEPS, window)
+    for r, t in zip(c_rid.tolist(), ab_rid.tolist()):
+        regions[r].star_touches.append(t)
     return RegionClassification(window, tags, regions)
 
 
-def _fill_star_touches(regions, tags, window):
-    for r in regions:
-        if r.kind != "c":
-            continue
-        seen = set()
-        for x in r.sites:
-            for y in window.star_neighbors(x):
-                t = tags.get(y)
-                if t and t[1] != r.rid and t[0] in ("a", "b"):
-                    seen.add(t[1])
-        r.star_touches = sorted(seen)
+_AXIS_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+_STAR_STEPS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy)
+
+
+def _neighbor_pairs(p: np.ndarray, q: np.ndarray, steps, window) -> tuple:
+    """The distinct pairs (p[i], q[j]) over sites i and their neighbors j at
+    the given steps, where both are >= 0 (p and q hold values below n_sites),
+    as two arrays in sorted pair order."""
+    n = window.n_sites
+    keys = []
+    for dx, dy in steps:
+        j = window.neighbor_index(0, dx) if dx else np.arange(n)
+        if dy:
+            j = np.where(j >= 0, window.neighbor_index(1, dy)[j], -1)
+        i = np.flatnonzero((p >= 0) & (j >= 0))
+        i = i[q[j[i]] >= 0]
+        keys.append(p[i] * n + q[j[i]])
+    return np.divmod(np.unique(np.concatenate(keys)), n)
 
 
 # ---- lemma checks -------------------------------------------------------------------
 
 
 def check_closure_idempotent(V: Iterable, window) -> bool:
-    c1 = closure(V, window)
-    return closure(c1, window) == c1
+    c1 = _closure_mask(_sites_mask(V, window), window)
+    return bool(np.array_equal(_closure_mask(c1, window), c1))
 
 
 def check_neighbor_hole(V: Iterable, window) -> bool:
     """Sites of the closure with a neighbor outside it must belong to V."""
-    vs = set(V)
-    clo = closure(vs, window)
-    for x in clo:
-        for y in window.neighbors(x):
-            if y not in clo and x not in vs:
+    vs = _sites_mask(V, window)
+    clo = _closure_mask(vs, window)
+    filled = clo & ~vs
+    for a in range(2):
+        for sgn in (+1, -1):
+            nbr = window.neighbor_index(a, sgn)
+            if np.any(filled & (nbr >= 0) & ~clo[nbr]):
                 return False
     return True
 
 
 def check_complement_unbounded(V: Iterable, window) -> bool:
     """Complement components of the closure are unbounded in the proxy sense."""
-    clo = closure(V, window)
-    st = SubsetStructure(~_mask_of(clo, window), window)
-    return not bool(st.fill_mask().any())
+    clo = _closure_mask(_sites_mask(V, window), window)
+    return not bool(SubsetStructure(~clo, window).fill_mask().any())
 
 
 def check_degree_two(V: Iterable, window, margin: int = 2) -> bool:
     """Interior dual vertices of B(V) have degree exactly two, for
     site-connected V (window-edge dual vertices are exempt on boxes)."""
-    degs = interior_dual_degrees(V, window)
+    ll, deg = _plaquette_degrees(_closure_mask(_sites_mask(V, window), window), window)
     if isinstance(window, Box):
-        lo, hi = window.lo, window.hi
-        degs = {
-            v: k
-            for v, k in degs.items()
-            if all(l + margin <= c <= h - margin for c, l, h in zip(v, lo, hi))
-        }
-    return all(k == 2 for k in degs.values())
+        deg = deg[_clear(window.index_coords()[ll] + 0.5, window, margin)]
+    return bool(np.all((deg == 0) | (deg == 2)))
 
 
 def check_no_interior_circuits(V: Iterable, window, margin: int = 2) -> bool:
     """Unbounded-proxy V: boundary fragments clear of the window edge must not
     close up into contractible circuits."""
-    paths = dual_boundary(V, window)
-    for p in paths:
+    for p in dual_boundary(V, window):
         if not p.closed:
             continue
-        verts = p.vertices()
         if isinstance(window, Torus):
             if not _dual_circuit_winds(p, window):
                 return False
-        else:
-            lo, hi = window.lo, window.hi
-            if all(
-                all(l + margin <= c <= h - margin for c, l, h in zip(v, lo, hi))
-                for v in verts
-            ):
-                return False
+        elif _clear(np.array(p.vertices()), window, margin).all():
+            return False
     return True
 
 
+def _clear(v: np.ndarray, box: Box, margin) -> np.ndarray:
+    """Which dual vertices (rows of v) lie at least margin inside the box corners."""
+    return np.all((v >= np.add(box.lo, margin)) & (v <= np.subtract(box.hi, margin)), axis=1)
+
+
 def _dual_circuit_winds(p: DualPath, window: Torus) -> bool:
-    verts = p.vertices()
-    total = (0.0, 0.0)
-    for u, v in zip(verts, verts[1:]):
-        du = tuple(
-            (b - a + s / 2) % s - s / 2 for a, b, s in zip(u, v, window.sides)
-        )
-        total = (total[0] + du[0], total[1] + du[1])
-    return abs(total[0]) > 0.25 or abs(total[1]) > 0.25
+    sides = np.asarray(window.sides)
+    total = ((np.diff(p.vertices(), axis=0) + sides / 2) % sides - sides / 2).sum(axis=0)
+    return bool(np.any(np.abs(total) > 0.25))

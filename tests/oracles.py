@@ -8,14 +8,16 @@ of them is used by the package itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from nnlab.errors import SpecError
+from nnlab.errors import SpecError, StructureError
 from nnlab.generators import gen_dyadic_i
-from nnlab.lattice import Site, Torus, canonical_edge
+from nnlab.lattice import Site, Torus, canonical_edge, dual_of, primal_of
 from nnlab.nngraph import OutMap, PathTrace, TwoCycle, forward_path
 from nnlab.rng import SeededRng
+from nnlab.topology import Region, RegionClassification
 
 
 class UnionFind:
@@ -148,6 +150,132 @@ def closure_reference(V: Iterable, window) -> set:
         elif not touches_boundary(comp, window):
             out.update(comp)
     return out
+
+
+def _unbounded(comp: list, window) -> bool:
+    if isinstance(window, Torus):
+        return component_wraps(comp, window)
+    return touches_boundary(comp, window)
+
+
+def classify_regions_reference(labeling, window) -> RegionClassification:
+    """classify_regions with one closure per type-(a) component: each closure
+    is computed on its own, the leftover is flood-filled, and star touches come
+    from a star_neighbors walk over every type-(c) site."""
+    comps: dict = {}
+    for x in window.sites():
+        comps.setdefault(labeling.component_of(x), []).append(x)
+    if isinstance(window, Torus):
+        infinite = [c for c in sorted(comps) if labeling.wrapping[c]]
+    else:
+        infinite = [c for c in sorted(comps) if touches_boundary(comps[c], window)]
+    tags: dict = {}
+    regions: list = []
+    for cid in infinite:
+        clo = closure_reference(comps[cid], window)
+        rid = len(regions)
+        regions.append(Region("a", rid, sorted(clo), component_id=cid))
+        for x in clo:
+            if x in tags:
+                raise StructureError(f"closures overlap at {x}")
+            tags[x] = ("a", rid)
+    leftover = [x for x in window.sites() if x not in tags]
+    for comp in sorted(site_components(leftover, window)):
+        kind = "b" if _unbounded(comp, window) else "c"
+        rid = len(regions)
+        regions.append(Region(kind, rid, comp))
+        for x in comp:
+            tags[x] = (kind, rid)
+    fill_star_touches_reference(regions, tags, window)
+    return RegionClassification(window, tags, regions)
+
+
+def fill_star_touches_reference(regions: list, tags: dict, window) -> None:
+    for r in regions:
+        if r.kind != "c":
+            continue
+        seen = set()
+        for x in r.sites:
+            for y in window.star_neighbors(x):
+                t = tags.get(y)
+                if t and t[1] != r.rid and t[0] in ("a", "b"):
+                    seen.add(t[1])
+        r.star_touches = sorted(seen)
+
+
+def boundary_edges_reference(V: Iterable, window) -> list:
+    """Dual edges separating closure(V) from its complement, one primal edge
+    at a time."""
+    clo = closure_reference(V, window)
+    out = []
+    tor = window if isinstance(window, Torus) else None
+    for x in sorted(clo):
+        for a in range(2):
+            for sgn in (+1, -1):
+                y = window.axis_neighbor(x, a, sgn)
+                if y is None or y in clo:
+                    continue
+                out.append(dual_of(canonical_edge(x, y), tor))
+    return sorted(set(out))
+
+
+def interior_dual_degrees_reference(V: Iterable, window) -> dict:
+    """Degrees of the dual vertices of boundary_edges_reference whose four
+    surrounding sites lie in the window."""
+    deg: dict = {}
+    for e in boundary_edges_reference(V, window):
+        for v in e:
+            deg[v] = deg.get(v, 0) + 1
+    if isinstance(window, Torus):
+        return deg
+    out = {}
+    for v, k in deg.items():
+        corners = [(int(math.floor(v[0])) + dx, int(math.floor(v[1])) + dy)
+                   for dx in (0, 1) for dy in (0, 1)]
+        if all(window.contains(c) for c in corners):
+            out[v] = k
+    return out
+
+
+def closure_on_left_reference(u, v, clo: set, window) -> bool:
+    """Whether the end of the primal edge bisected by the dual step u -> v
+    that lies on the left of the step is in clo, by the sign of a cross
+    product."""
+    tor = window if isinstance(window, Torus) else None
+    a, b = primal_of(canonical_edge(u, v), tor)
+
+    def delta(p, q):  # q - p, the short way round on a torus
+        d = [y - x for x, y in zip(p, q)]
+        return [(t + s / 2) % s - s / 2 for t, s in zip(d, window.sides)] if tor else d
+
+    du = delta(u, v)
+    rel = delta([p + t / 2 for p, t in zip(u, du)], a)  # from the step's midpoint to a
+    a_left = du[0] * rel[1] - du[1] * rel[0] > 0
+    return (a if a_left else b) in clo
+
+
+def check_degree_two_reference(V: Iterable, window, margin: int = 2) -> bool:
+    degs = interior_dual_degrees_reference(V, window)
+    if not isinstance(window, Torus):
+        degs = {v: k for v, k in degs.items()
+                if all(l + margin <= c <= h - margin for c, l, h in zip(v, window.lo, window.hi))}
+    return all(k == 2 for k in degs.values())
+
+
+def check_closure_idempotent_reference(V: Iterable, window) -> bool:
+    c1 = closure_reference(V, window)
+    return closure_reference(c1, window) == c1
+
+
+def check_neighbor_hole_reference(V: Iterable, window) -> bool:
+    """Sites of the closure with a neighbor outside it must belong to V."""
+    vs = set(V)
+    clo = closure_reference(vs, window)
+    for x in clo:
+        for y in window.neighbors(x):
+            if y not in clo and x not in vs:
+                return False
+    return True
 
 
 def outmap_wrapping_components(g: OutMap) -> set:

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nnlab.errors import StructureError, UnsupportedDimensionError
+from nnlab.errors import DomainError, StructureError, UnsupportedDimensionError
 from nnlab.lattice import Box, Torus
-from nnlab.nngraph import build_nn_directed, undirected_components
+from nnlab.nngraph import OutMap, build_nn_directed, undirected_components
 from nnlab.rng import SeededRng
 from nnlab.generators import gen_dyadic_window, gen_zerner_merkl, modify_type_c
 from nnlab.topology import (
@@ -27,7 +27,19 @@ from nnlab.topology import (
 )
 from nnlab.weights import sample_iid_uniform
 
-from oracles import closure_reference, flood_fill_components, site_components
+from conftest import random_outmap
+from oracles import (
+    boundary_edges_reference,
+    check_closure_idempotent_reference,
+    check_degree_two_reference,
+    check_neighbor_hole_reference,
+    classify_regions_reference,
+    closure_on_left_reference,
+    closure_reference,
+    flood_fill_components,
+    interior_dual_degrees_reference,
+    site_components,
+)
 
 
 WIN = Box((-6, -6), (9, 9))
@@ -213,3 +225,90 @@ def test_zm_boundary_degree_two_on_torus():
         degs = interior_dual_degrees(sites, t)
         assert all(k == 2 for k in degs.values())
         assert check_no_interior_circuits(sites, t)
+
+
+def _regions(rc):
+    return [(r.kind, r.rid, r.sites, r.component_id, r.star_touches) for r in rc.regions]
+
+
+@st.composite
+def planar_windows(draw):
+    if draw(st.booleans()):
+        return Torus((draw(st.integers(3, 7)), draw(st.integers(3, 7))))
+    lo = (draw(st.integers(-4, 2)), draw(st.integers(-4, 2)))
+    return Box(lo, (lo[0] + draw(st.integers(1, 6)), lo[1] + draw(st.integers(1, 6))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(window=planar_windows(), seed=st.integers(0, 2**32 - 1))
+def test_array_topology_matches_per_site_oracles(window, seed):
+    """Region classification (star touches included), closure, boundary edges,
+    the lemma checks and the side of the closure along each dual path against
+    their per-site twins, on the components of a random out-map and on a
+    random site set."""
+    lab = undirected_components(random_outmap(window, seed))
+    rc = classify_regions(lab, window)
+    ref = classify_regions_reference(lab, window)
+    assert _regions(rc) == _regions(ref)
+    assert rc.tags == ref.tags
+    assert rc.to_csv() == ref.to_csv()
+    rng = np.random.default_rng(seed)
+    sites = list(window.sites())
+    subsets = [lab.vertices_of(c) for c in range(lab.n_components)]
+    subsets.append([x for x in sites if rng.random() < 0.5])
+    for V in subsets:
+        assert closure(V, window) == closure_reference(V, window)
+        assert boundary_edges(V, window) == boundary_edges_reference(V, window)
+        assert interior_dual_degrees(V, window) == interior_dual_degrees_reference(V, window)
+        for margin in (0, 2):
+            expected = check_degree_two_reference(V, window, margin)
+            assert check_degree_two(V, window, margin) == expected
+        assert check_closure_idempotent(V, window) == check_closure_idempotent_reference(V, window)
+        assert check_neighbor_hole(V, window) == check_neighbor_hole_reference(V, window)
+        # the closure starts on the left of each path unless it starts on the
+        # right both ways round (as a degree-four pinch can make it)
+        clo = closure_reference(V, window)
+        for p in dual_boundary(V, window):
+            v = p.vertices()
+            assert (len(v) < 2 or closure_on_left_reference(v[0], v[1], clo, window)
+                    or not closure_on_left_reference(v[-1], v[-2], clo, window))
+
+
+def test_classification_counts_every_kind():
+    """The oracle comparison above meets type (a), (b) and (c) regions, a
+    star touch and a failing degree-two check."""
+    kinds, touches, degree_fails = set(), 0, 0
+    for seed in range(40):
+        window = Torus((5, 6)) if seed % 2 else Box((-2, -3), (3, 2))
+        lab = undirected_components(random_outmap(window, seed))
+        rc = classify_regions(lab, window)
+        kinds |= {r.kind for r in rc.regions}
+        touches += sum(len(r.star_touches) for r in rc.regions)
+        degree_fails += not check_degree_two([(0, 0), (1, 1)], window, 0)
+    assert kinds == {"a", "b", "c"} and touches and degree_fails
+
+
+NOT_SITES = [[(1.5, 1)], [(1, 1), (2.0, 2)], [(1, "1")], [(1, 1, 1)], [(5, 1)], [(-1, 0)]]
+PLANAR_CALLS = [closure, boundary_edges, dual_boundary, interior_dual_degrees, star_boundary_path,
+                check_closure_idempotent, check_neighbor_hole, check_degree_two,
+                check_complement_unbounded, check_no_interior_circuits]
+
+
+@pytest.mark.parametrize("fn", PLANAR_CALLS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("V", NOT_SITES, ids=repr)
+def test_non_sites_raise_domain_error(fn, V):
+    with pytest.raises(DomainError):
+        fn(V, Box((0, 0), (4, 4)))
+
+
+def test_wrapping_leftover_with_one_infinite_neighbor_is_type_b():
+    """A band around the torus next to a single winding component stays a
+    (b) leftover: it borders only that component, but it is not finite."""
+    t = Torus((6, 6))
+    out = np.full(t.n_sites, -1, dtype=np.int64)
+    row = np.flatnonzero(t.index_coords()[:, 1] == 0)
+    out[row] = t.neighbor_index(0, +1)[row]
+    lab = undirected_components(OutMap(t, out))
+    rc = classify_regions(lab, t)
+    assert rc.counts() == {"a": 1, "b": 1, "c": 0}
+    assert _regions(rc) == _regions(classify_regions_reference(lab, t))
