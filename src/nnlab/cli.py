@@ -193,14 +193,15 @@ def verify(indir, spec_file, model, torus, box, seed, report_path):
             g, w = real.graph, real.weights
 
         report = {}
-        pre = verify_theorem3_preconditions(g)
+        lab = undirected_components(g)
+        pre = verify_theorem3_preconditions(g, labeling=lab)
         report["preconditions"] = {
             "ok": pre.ok,
             "out_degree_violations": [list(v) for v in pre.out_degree_violations[:4]],
             "long_cycles": [[list(v) for v in c[:16]] for c in pre.long_cycles[:2]],
             "wrapping_cycles": len(pre.wrapping_cycles),
         }
-        struct = verify_all_components(g, w)
+        struct = verify_all_components(g, w, labeling=lab)
         report["structure"] = {
             "ok": struct.ok,
             "components_checked": struct.components_checked,

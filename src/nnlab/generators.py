@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, SpecError, StructureError
 from .lattice import Box, Site, Torus, flat_strides
-from .nngraph import OutMap, backward_sizes
+from .nngraph import OutMap
 from .rng import SeededRng
 from .serialize import domain_from_dict, domain_to_dict
 
@@ -47,6 +47,7 @@ def gen_zerner_merkl(
     """
     if L % 2 or L < 6:
         raise SpecError(f"Zerner-Merkl needs an even torus side >= 6, got {L}")
+    dom = Torus((L, L))
     m = L // 2
     if b_field is None:
         b_field = rng.child("zm-bernoulli").bernoulli((m, m)).astype(bool)
@@ -74,7 +75,6 @@ def gen_zerner_merkl(
     xs = np.arange(L)[:, None]
     ys = np.arange(L)[None, :]
     tgt = ((xs + dx) % L) * L + (ys + dy) % L
-    dom = Torus((L, L))
     g = OutMap(dom, tgt.reshape(-1).astype(np.int64))
     # system 0 = the up-right tree, 1 = the down-left tree; each vertex's own
     # step direction decides which tree it feeds
@@ -213,9 +213,12 @@ def gen_layered(base, n_layers: int) -> OutMap:
     """
     if n_layers < 1:
         raise SpecError("need at least one layer")
-    bases = list(base) if isinstance(base, (list, tuple)) else [base] * n_layers
-    if len(bases) != n_layers:
-        raise SpecError(f"got {len(bases)} base samples for {n_layers} layers")
+    if isinstance(base, (list, tuple)):
+        bases = list(base)
+        if len(bases) != n_layers:
+            raise SpecError(f"got {len(bases)} base samples for {n_layers} layers")
+    else:
+        bases = [base]  # the one sample on every layer
     bdom = bases[0].dom
     if not isinstance(bdom, Box):
         raise SpecError("layered bases must live on boxes")
@@ -223,8 +226,8 @@ def gen_layered(base, n_layers: int) -> OutMap:
         raise SpecError("all base samples must share one window")
     dom3 = Box(bdom.lo + (0,), bdom.hi + (n_layers - 1,))
     out3 = np.full(dom3.n_sites, -1, dtype=np.int64)
-    for layer, bg in enumerate(bases):
-        o2 = bg.out_index
+    for layer in range(n_layers):
+        o2 = bases[layer % len(bases)].out_index
         src = np.where(o2 >= 0)[0]
         out3[src * n_layers + layer] = o2[src] * n_layers + layer
     margin = max(bg.active_margin for bg in bases)
@@ -431,11 +434,10 @@ def modify_type_c(g: OutMap) -> OutMap:
     least in-neighbor, creating a fresh miniloop there."""
     o = g.out_index
     n = len(o)
-    sizes = backward_sizes(g)
-    leaf = sizes == 1
     src = np.where(o >= 0)[0]
     heads = o[src]
     total_in = np.bincount(heads, minlength=n)
+    leaf = total_in == 0
     nonleaf_in = np.bincount(heads[~leaf[src]], minlength=n)
     min_in = np.full(n, n, dtype=np.int64)
     np.minimum.at(min_in, heads, src)

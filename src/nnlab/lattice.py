@@ -11,6 +11,7 @@ representable as floats.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Optional
 
 import numpy as np
@@ -22,6 +23,17 @@ UEdge = tuple  # (site, site), canonically ordered
 DEdge = tuple  # (from_site, to_site)
 DualVertex = tuple  # (half-int, half-int) as floats
 DualEdge = tuple  # (dual_vertex, dual_vertex), canonically ordered
+
+
+# The most sites a Box or Torus may have, 19x the largest domain in use (the
+# 1.73M-site fk3 window, 120^3).  Domains come from reader headers, CLI flags
+# and specs; a larger one raises SpecError before any per-site array exists.
+MAX_SITES = 2**25
+
+
+def _check_n_sites(shape: tuple):
+    if math.prod(shape) > MAX_SITES:
+        raise SpecError(f"a domain of shape {shape} has more than MAX_SITES = {MAX_SITES} sites")
 
 
 def canonical_edge(a: Site, b: Site) -> UEdge:
@@ -207,6 +219,7 @@ class Box(_DomainBase):
         self.d = len(lo)
         self._lo = lo
         self.shape = tuple(h - l + 1 for l, h in zip(lo, hi))
+        _check_n_sites(self.shape)
         self._nbr_cache = {}
 
     def contains(self, x: Site) -> bool:
@@ -254,6 +267,7 @@ class Torus(_DomainBase):
             raise SpecError("torus needs at least one axis")
         if any(s < 3 for s in sides):
             raise SpecError(f"torus sides must all be >= 3, got {sides}")
+        _check_n_sites(sides)
         self.sides = sides
         self.d = len(sides)
         self.shape = sides

@@ -8,6 +8,7 @@ vectorized while the tuple-based accessors keep call sites readable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 import numpy as np
@@ -107,25 +108,13 @@ class OutMap:
     def restricted_to(self, box: Box) -> "OutMap":
         """Restriction to a sub-box; edges leaving the sub-box (or crossing a
         torus seam) are dropped."""
-        dom = self.dom
-        coords = dom.index_coords()
-        lo = np.asarray(box.lo)
-        hi = np.asarray(box.hi)
-        inside = np.all((coords >= lo) & (coords <= hi), axis=1)
-        o = self._out
-        keep = (o >= 0) & inside
-        tgt_ok = np.zeros(len(o), dtype=bool)
-        src_idx = np.where(keep)[0]
-        tgt = o[src_idx]
-        unit_step = np.abs(coords[tgt] - coords[src_idx]).sum(axis=1) == 1
-        tgt_ok[src_idx] = inside[tgt] & unit_step
-        keep &= tgt_ok
-        shape = np.asarray(box.shape)
-        strides = flat_strides(shape)
-        newidx = ((coords - lo) * strides).sum(axis=1)
+        coords = self.dom.index_coords()
+        inside = np.all((coords >= box.lo) & (coords <= box.hi), axis=1)
+        src, dst = self.edge_arrays()
+        unit_step = np.abs(coords[dst] - coords[src]).sum(axis=1) == 1
+        keep = inside[src] & inside[dst] & unit_step
         new_out = np.full(box.n_sites, -1, dtype=np.int64)
-        src_idx = np.where(keep)[0]
-        new_out[newidx[src_idx]] = newidx[o[src_idx]]
+        new_out[box.coords_index(coords[src[keep]])] = box.coords_index(coords[dst[keep]])
         return OutMap(box, new_out, self.active_margin)
 
     def __eq__(self, other):
@@ -171,9 +160,14 @@ def build_nn_directed(w) -> "OutMap":
 
 @dataclass
 class ComponentLabeling:
-    """Union-find style labeling of the undirected version of an OutMap."""
+    """Union-find style labeling of the undirected version of an OutMap.
+
+    Each component is a tree feeding one miniloop, longer cycle or sink;
+    ``backward`` and ``cycle_len`` read that off one leaves-first peel, run
+    the first time either is asked for."""
 
     dom: object
+    out: np.ndarray  # the labeled map's out-array
     labels: np.ndarray
     sizes: np.ndarray
     boundary_touching: np.ndarray  # per component; boxes only
@@ -195,6 +189,52 @@ class ComponentLabeling:
             return self.n_components
         return int(getattr(self, kind).sum())
 
+    def least_sites(self) -> np.ndarray:
+        """The least site of every component, in label order: labels are
+        numbered by least site, so each one first appears where the running
+        maximum of the labels steps up."""
+        return np.flatnonzero(np.diff(np.maximum.accumulate(self.labels), prepend=-1))
+
+    @cached_property
+    def backward(self) -> np.ndarray:
+        """#C_x for every site: how many sites have x on their forward orbit.
+
+        Peel the in-forest leaves-first (Kahn's topological order), adding
+        each subtree total into its parent.  The sites left unpeeled lie on a
+        cycle, and the whole component drains into that cycle."""
+        o = self.out
+        n = len(o)
+        t = np.ones(n, dtype=np.int64)
+        valid = o >= 0
+        deg = np.bincount(o[valid], minlength=n)
+        claim = np.empty(n, dtype=np.int64)
+        frontier = np.flatnonzero(deg == 0)
+        while frontier.size:
+            kids = frontier[valid[frontier]]
+            parents = o[kids]
+            np.add.at(t, parents, t[kids])
+            np.subtract.at(deg, parents, 1)
+            done = deg[parents] == 0
+            kids, parents = kids[done], parents[done]
+            # siblings peeled in one level: the kid whose claim lands keeps the parent
+            claim[parents] = kids
+            frontier = parents[claim[parents] == kids]
+        cyc = deg > 0
+        t[cyc] = self.sizes[self.labels[cyc]]
+        return t
+
+    @property
+    def on_cycle(self) -> np.ndarray:
+        """Mask of the sites on a directed cycle, miniloops included: the
+        sites with an out-edge whose backward set is their whole component."""
+        return (self.out >= 0) & (self.backward == self.sizes[self.labels])
+
+    @cached_property
+    def cycle_len(self) -> np.ndarray:
+        """Per component, the length of its cycle: 0 when it ends in a sink,
+        2 for a miniloop, 3 or more for a long or winding cycle."""
+        return np.bincount(self.labels[self.on_cycle], minlength=self.n_components)
+
 
 def undirected_components(g: OutMap) -> ComponentLabeling:
     """Label components of {{x, out(x)}}; isolated sites become singletons."""
@@ -214,7 +254,7 @@ def undirected_components(g: OutMap) -> ComponentLabeling:
         wrapping = np.zeros(ncomp, dtype=bool)
     else:
         wrapping = torus_winding(dom, src, dst, labels)
-    return ComponentLabeling(dom, labels, sizes, touching, spanning, wrapping)
+    return ComponentLabeling(dom, g.out_index, labels, sizes, touching, spanning, wrapping)
 
 
 # ---- functional-graph kernels ------------------------------------------------------
@@ -279,20 +319,22 @@ def torus_winding(dom: Torus, src: np.ndarray, dst: np.ndarray, labels: np.ndarr
     return winds
 
 
-def first_stop(out: np.ndarray, stop: np.ndarray) -> np.ndarray:
+def first_stop(out: np.ndarray, stop: np.ndarray) -> tuple:
     """For each site, the first site of its forward orbit (itself included)
-    where ``stop`` holds; -2 where the orbit never stops, which on a finite
-    map means it feeds a cycle of non-stop sites.  Every site without an
-    out-edge must be a stop.
+    where ``stop`` holds, and how many steps it takes to get there; the site
+    is -2 where the orbit never stops, which on a finite map means it feeds a
+    cycle of non-stop sites.  Every site without an out-edge must be a stop.
 
-    Pointer doubling with absorption: stops point at themselves, and
-    ceil(log2(4n)) squarings cover any orbit."""
+    Pointer doubling with absorption: stops point at themselves after zero
+    steps, and ceil(log2(4n)) squarings cover any orbit."""
     n = len(out)
     jump = np.where(stop, np.arange(n, dtype=np.int64), out)
+    hops = (~stop).astype(np.int64)
     for _ in range(max(1, int(np.ceil(np.log2(max(2, 4 * n)))))):
+        hops += hops[jump]
         jump = jump[jump]
     jump[~stop[jump]] = -2
-    return jump
+    return jump, hops
 
 
 # ---- forward paths -----------------------------------------------------------------
@@ -357,50 +399,13 @@ def forward_path(x: Site, g: OutMap, step_cap: Optional[int] = None) -> PathTrac
 
 
 def backward_sizes(g: OutMap) -> np.ndarray:
-    """#C_x for every site at once.
-
-    Peel the in-forest leaves-first accumulating subtree sizes; vertices left
-    unpeeled lie on directed cycles and share the whole basin of their cycle.
-    """
-    n = g.dom.n_sites
-    o = g.out_index
-    t = np.ones(n, dtype=np.int64)
-    valid = o >= 0
-    deg = np.bincount(o[valid], minlength=n)
-    frontier = np.where(deg == 0)[0]
-    peeled = np.zeros(n, dtype=bool)
-    while frontier.size:
-        peeled[frontier] = True
-        has_parent = valid[frontier]
-        kids = frontier[has_parent]
-        parents = o[kids]
-        np.add.at(t, parents, t[kids])
-        np.subtract.at(deg, parents, 1)
-        frontier = np.unique(parents[deg[parents] == 0])
-    cyc = np.flatnonzero(~peeled & valid)
-    if cyc.size:
-        lab = label_components(n, cyc, o[cyc])[cyc]
-        total = np.zeros(n, dtype=np.int64)
-        np.add.at(total, lab, t[cyc])
-        t[cyc] = total[lab]
-    return t
+    """#C_x for every site at once (see ``ComponentLabeling.backward``)."""
+    return undirected_components(g).backward
 
 
 def two_cycle_mask(g: OutMap) -> np.ndarray:
     o = g.out_index
-    idx = np.arange(len(o))
-    ok = o >= 0
-    res = np.zeros(len(o), dtype=bool)
-    res[ok] = o[o[ok]] == idx[ok]
-    return res
-
-
-def terminal_map(g: OutMap) -> np.ndarray:
-    """For each site, the first two-cycle vertex (or sink) its orbit reaches;
-    -2 flags orbits that never get there, which on a finite map means they
-    feed a directed cycle of length >= 3."""
-    o = g.out_index
-    return first_stop(o, two_cycle_mask(g) | (o < 0))
+    return (o >= 0) & (o[o] == np.arange(len(o)))
 
 
 # ---- per-edge weight views used by path analyses --------------------------------
@@ -408,16 +413,11 @@ def terminal_map(g: OutMap) -> np.ndarray:
 
 def out_edge_weights(g: OutMap, w) -> np.ndarray:
     """Weight of each site's out-edge; NaN where there is none."""
-    dom = g.dom
     o = g.out_index
-    res = np.full(dom.n_sites, np.nan)
-    for a in range(dom.d):
-        fwd = dom.neighbor_index(a, +1)
-        m = (o >= 0) & (o == fwd)
-        res[m] = w.axis_weights(a)[m]
-        bwd = dom.neighbor_index(a, -1)
-        m = (o >= 0) & (o == bwd)
-        res[m] = w.axis_weights(a)[bwd[m]]
+    src = np.flatnonzero(o >= 0)
+    base, axis = g.dom.edge_slots(src, o[src])
+    res = np.full(g.dom.n_sites, np.nan)
+    res[src] = np.stack([w.axis_weights(a) for a in range(g.dom.d)])[axis, base]
     return res
 
 
@@ -458,47 +458,28 @@ def verify_all_components(g: OutMap, w=None, labeling: Optional[ComponentLabelin
     ``PreconditionReport.ok``: a winding cycle is the finite stand-in for an
     infinite forward orbit, and a component winds exactly when its unique
     cycle does."""
-    dom = g.dom
-    n = dom.n_sites
-    o = g.out_index
     if labeling is None:
         labeling = undirected_components(g)
-    labels = labeling.labels
-    ncomp = labeling.n_components
+    labels, cycle_len = labeling.labels, labeling.cycle_len
+    long_cycle_free = not np.any((cycle_len >= 3) & ~labeling.wrapping)
 
-    term = terminal_map(g)
-    long_cycle_free = bool(np.all(term[~labeling.wrapping[labels]] != -2))
-
-    two = two_cycle_mask(g)
-    loops_per_comp = np.bincount(labels[two], minlength=ncomp) // 2
-
-    comp_all_interior = np.ones(ncomp, dtype=bool)
-    if isinstance(dom, Box):
-        comp_all_interior[labels[dom.face_depths() == 1]] = False
-    nontrivial = labeling.sizes > 1
-    judged = comp_all_interior & nontrivial & ~labeling.wrapping
-
-    src = np.where(o >= 0)[0]
-    directed_per_comp = np.bincount(labels[src], minlength=ncomp)
-    und_per_comp = directed_per_comp - loops_per_comp
-    tree_ok = und_per_comp == labeling.sizes - 1
-
-    orient_ok = np.ones(ncomp, dtype=bool)
-    orient_ok[labels[(term == -2) | (o < 0)]] = False
-
-    passed = judged & tree_ok & (loops_per_comp == 1) & orient_ok
+    judged = (labeling.sizes > 1) & ~labeling.wrapping
+    if isinstance(g.dom, Box):
+        judged[labels[g.dom.face_depths() == 1]] = False
+    # with out-degree at most one, a component whose cycle is a miniloop is a
+    # tree with every edge directed toward that miniloop
+    miniloop = cycle_len == 2
+    passed = judged & miniloop
 
     monotone = None
     if w is not None:
         monotone = bool(adjacent_pairs_monotone(g, w))
 
-    has_out = o >= 0
-    landed = term[has_out]
-    ok_terminal = (landed >= 0) & two[np.clip(landed, 0, n - 1)]
-    rate = float(ok_terminal.mean()) if has_out.any() else 1.0
+    has_out = g.out_index >= 0
+    rate = float(miniloop[labels[has_out]].mean()) if has_out.any() else 1.0
 
     return GraphStructureReport(
-        n_components=ncomp,
+        n_components=labeling.n_components,
         components_checked=int(judged.sum()),
         components_passed=int(passed.sum()),
         long_cycle_free=long_cycle_free,

@@ -24,7 +24,6 @@ from .nngraph import (
     backward_sizes,
     first_stop,
     out_edge_weights,
-    terminal_map,
     two_cycle_mask,
     undirected_components,
     verify_all_components,
@@ -76,9 +75,9 @@ def transport_balance(g: OutMap, w, m) -> TransportReport:
         raise SpecError("the transport identity needs exact translation invariance (torus)")
     n = g.dom.n_sites
     if isinstance(m, TwoCycleEndpoint):
-        term = terminal_map(g)
         two = two_cycle_mask(g)
         o = g.out_index
+        term, _ = first_stop(o, two | (o < 0))
         ok = (term >= 0) & two[np.clip(term, 0, n - 1)]
         # each absorbed orbit deposits one unit on both miniloop endpoints
         targets1 = term[ok]
@@ -123,7 +122,7 @@ def r_descendant_map(g: OutMap, w, r: float) -> np.ndarray:
     next_w[has] = wout[o[has]]
     crossing = has & (wout >= r) & (np.isnan(next_w) | (next_w < r))
     two = two_cycle_mask(g)
-    landed = first_stop(o, crossing | two | ~has)
+    landed, _ = first_stop(o, crossing | two | ~has)
     res = np.full(n, -1, dtype=np.int64)
     src = np.flatnonzero(landed >= 0)
     t = landed[src]
@@ -217,11 +216,7 @@ def system_span_count(g: OutMap, lab: ComponentLabeling) -> int:
     if "system" not in meta:
         return int(len(ids))
     system = np.asarray(meta["system"])
-    reps = set()
-    for cid in ids:
-        sites = np.where(lab.labels == cid)[0]
-        reps.add(int(system[sites[0]]))
-    return len(reps)
+    return len(np.unique(system[lab.least_sites()[ids]]))
 
 
 def core_infinite_count(g: OutMap, lab: ComponentLabeling) -> Optional[int]:
@@ -241,14 +236,11 @@ def core_infinite_count(g: OutMap, lab: ComponentLabeling) -> Optional[int]:
     return sum(1 for c in comps if lab.wrapping[c])
 
 
-def _sample_sites(dom) -> list:
-    """Deterministic low-discrepancy sublattice: every ~eighth site per axis."""
-    strides = [max(1, s // 8) for s in dom.shape]
-    coords = []
-    for i, (lo, s, st) in enumerate(zip(dom._lo, dom.shape, strides)):
-        coords.append(list(range(lo, lo + s, st)))
-    grids = np.meshgrid(*coords, indexing="ij")
-    return [tuple(int(c) for c in row) for row in np.stack([g.reshape(-1) for g in grids], axis=1)]
+def _sample_sites(dom) -> np.ndarray:
+    """Flat indices of a deterministic low-discrepancy sublattice: every
+    ~eighth site per axis."""
+    axes = [np.arange(0, s, max(1, s // 8)) for s in dom.shape]
+    return np.ravel_multi_index(np.meshgrid(*axes, indexing="ij"), dom.shape).reshape(-1)
 
 
 def census_once(spec, seed: int, verify_structure: bool = False) -> CensusRecord:
@@ -256,10 +248,8 @@ def census_once(spec, seed: int, verify_structure: bool = False) -> CensusRecord
     real = spec.build(seed)
     g, w = real.graph, real.weights
     lab = undirected_components(g)
-    two = two_cycle_mask(g)
     sizes_hist_vals, sizes_hist_counts = np.unique(lab.sizes, return_counts=True)
-    back = backward_sizes(g)
-    sample = [g.dom.site_index(x) for x in _sample_sites(g.dom)]
+    back = lab.backward
     pass_rate = None
     if verify_structure:
         rep = verify_all_components(g, w, labeling=lab)
@@ -274,9 +264,9 @@ def census_once(spec, seed: int, verify_structure: bool = False) -> CensusRecord
         boundary_touching_count=lab.count("boundary_touching"),
         system_span_count=system_span_count(g, lab),
         core_infinite_count=core_infinite_count(g, lab),
-        miniloop_count=int(two.sum()) // 2,
+        miniloop_count=int((lab.cycle_len == 2).sum()),
         size_histogram={int(v): int(c) for v, c in zip(sizes_hist_vals, sizes_hist_counts)},
-        max_backward_size=int(back[sample].max()) if sample else 0,
+        max_backward_size=int(back[_sample_sites(g.dom)].max()),
         structure_pass_rate=pass_rate,
         runtime_s=time.perf_counter() - t0,
     )

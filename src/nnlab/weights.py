@@ -18,8 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConstructionError, SpecError, StructureError
-from .lattice import Torus, UEdge, canonical_edge
-from .nngraph import OutMap, backward_sizes, build_nn_directed, terminal_map, torus_winding
+from .lattice import UEdge, canonical_edge
+from .nngraph import ComponentLabeling, OutMap, build_nn_directed, first_stop, undirected_components
 from .rng import SeededRng
 
 
@@ -125,8 +125,6 @@ class PreconditionReport:
     out_degree_violations: list = field(default_factory=list)
     long_cycles: list = field(default_factory=list)
     wrapping_cycles: list = field(default_factory=list)
-    off_domain_edges: list = field(default_factory=list)
-    backward_sets_finite: bool = True  # automatic on finite domains
 
     @property
     def ok(self) -> bool:
@@ -136,71 +134,51 @@ class PreconditionReport:
         forward orbits, which the realization theorem allows; they are listed
         separately and do not fail the check.
         """
-        return not (self.out_degree_violations or self.long_cycles or self.off_domain_edges)
+        return not (self.out_degree_violations or self.long_cycles)
 
     @property
     def strictly_acyclic(self) -> bool:
         return self.ok and not self.wrapping_cycles
 
 
-def verify_theorem3_preconditions(g: OutMap, dom=None) -> PreconditionReport:
-    """Report every obstruction to realizing g as a nearest-neighbor graph."""
+def verify_theorem3_preconditions(
+    g: OutMap, dom=None, labeling: Optional[ComponentLabeling] = None
+) -> PreconditionReport:
+    """Report every obstruction to realizing g as a nearest-neighbor graph.
+
+    Cycles of length three or more come in component order.  Each starts at
+    the first cycle site on the orbit of its component's least site and runs
+    in orbit order; it winds exactly when its component wraps, since the
+    trees hanging off a cycle cannot wind."""
     if dom is not None and dom != g.dom:
         raise SpecError("digraph domain mismatch")
     dom = g.dom
+    if labeling is None:
+        labeling = undirected_components(g)
     rep = PreconditionReport()
     o = g.out_index
-    missing = np.where(g.active_mask() & (o < 0))[0]
-    rep.out_degree_violations = [dom.index_site(int(i)) for i in missing[:32]]
+    missing = np.flatnonzero(g.active_mask() & (o < 0))
+    rep.out_degree_violations = dom.index_sites(missing[:32])
 
-    cycles = _directed_cycles(g)
-    winds = np.zeros(len(cycles), dtype=bool)
-    if isinstance(dom, Torus) and cycles:
-        src = np.concatenate(cycles)
-        which = np.zeros(dom.n_sites, dtype=np.int64)
-        which[src] = np.repeat(np.arange(len(cycles)), [len(c) for c in cycles])
-        winds = torus_winding(dom, src, o[src], which)
-    for cyc, wound in zip(cycles, winds):
-        sites = [dom.index_site(int(i)) for i in cyc]
-        (rep.wrapping_cycles if wound else rep.long_cycles).append(sites)
+    labels, cycle_len = labeling.labels, labeling.cycle_len
+    long = np.flatnonzero(cycle_len >= 3)
+    if not long.size:
+        return rep
+    on_cycle = labeling.on_cycle
+    entry, _ = first_stop(o, on_cycle | (o < 0))
+    start = np.zeros(len(o), dtype=bool)
+    start[entry[labeling.least_sites()[long]]] = True
+    _, hops = first_stop(o, start | (o < 0))
+    cyc = np.flatnonzero(on_cycle & (cycle_len >= 3)[labels])
+    length = cycle_len[labels[cyc]]
+    # a cycle site `hops` steps before its cycle's start sits `length - hops`
+    # steps after it
+    cyc = cyc[np.lexsort(((length - hops[cyc]) % length, labels[cyc]))]
+    sites = dom.index_sites(cyc)
+    ends = np.cumsum(cycle_len[long]).tolist()
+    for cid, lo, hi in zip(long.tolist(), [0] + ends, ends):
+        (rep.wrapping_cycles if labeling.wrapping[cid] else rep.long_cycles).append(sites[lo:hi])
     return rep
-
-
-def _directed_cycles(g: OutMap) -> list:
-    """Flat site indices of every directed cycle of length >= 3, each
-    reported once.
-
-    Orbits that neither reach a sink nor a miniloop are exactly the ones
-    feeding long cycles; the vectorized terminal map finds those first so the
-    per-vertex walk only runs when witnesses actually exist.
-    """
-    o = g.out_index
-    suspects = np.where(terminal_map(g) == -2)[0]
-    if not suspects.size:
-        return []
-    n = len(o)
-    color = np.zeros(n, dtype=np.int8)  # 0 new, 1 on stack, 2 done
-    cycles = []
-    for s in suspects:
-        if color[s]:
-            continue
-        path = []
-        u = int(s)
-        while True:
-            if color[u] == 1:
-                cycles.append(path[path.index(u):])
-                break
-            if color[u] == 2:
-                break
-            color[u] = 1
-            path.append(u)
-            nxt = int(o[u])
-            if nxt < 0:
-                break
-            u = nxt
-        for i in path:
-            color[i] = 2
-    return cycles
 
 
 # ---- the constructor ------------------------------------------------------------
@@ -218,7 +196,8 @@ def construct_weights(g: OutMap, dom=None, rng: Optional[SeededRng] = None) -> W
     if dom is not None and dom != g.dom:
         raise SpecError("digraph domain mismatch")
     dom = g.dom
-    rep = verify_theorem3_preconditions(g)
+    lab = undirected_components(g)
+    rep = verify_theorem3_preconditions(g, labeling=lab)
     if rep.out_degree_violations:
         raise ConstructionError(
             f"active vertex {rep.out_degree_violations[0]} has no out-edge",
@@ -230,27 +209,20 @@ def construct_weights(g: OutMap, dom=None, rng: Optional[SeededRng] = None) -> W
             f"directed cycle of length {len(cyc)} through {cyc[0]}", witness=cyc
         )
 
-    n = dom.n_sites
-    d = dom.d
-    sizes = backward_sizes(g)
+    d, n = dom.d, dom.n_sites
     o = g.out_index
-
-    u = rng.child("construct-weights").uniform_open((d, n))
-    w = np.empty((d, n))
-    v_count = np.zeros((d, n), dtype=np.int64)
+    src = np.flatnonzero(o >= 0)
+    base, axis = dom.edge_slots(src, o[src])
+    fwd = base == src  # the edge is directed base -> base+e_axis
     carried = np.zeros((d, n), dtype=bool)
+    carried[axis, base] = True
+    v_count = np.zeros((d, n), dtype=np.int64)
+    for m in (~fwd, fwd):  # a miniloop's slot counts from its base site
+        v_count[axis[m], base[m]] = lab.backward[src[m]]
+    u = rng.child("construct-weights").uniform_open((d, n))
+    w = np.where(carried, 1.0 / (v_count + u), 1.0 + u)
     for a in range(d):
-        fwd = dom.neighbor_index(a, +1)
-        has = fwd >= 0
-        fwd_carries = has & (o == fwd)  # edge directed base -> base+e_a
-        bwd_carries = has.copy()  # edge directed base+e_a -> base
-        bwd_carries[has] = o[fwd[has]] == np.where(has)[0]
-        carried[a] = fwd_carries | bwd_carries
-        v_count[a, fwd_carries] = sizes[fwd_carries]
-        tail = fwd[bwd_carries & ~fwd_carries]
-        v_count[a, bwd_carries & ~fwd_carries] = sizes[tail]
-        w[a] = np.where(carried[a], 1.0 / (v_count[a] + u[a]), 1.0 + u[a])
-        w[a, ~has] = np.nan
+        w[a, dom.neighbor_index(a, +1) < 0] = np.nan
 
     lo = np.where(carried, 1.0 / (v_count + 1.0), 1.0).reshape(-1)
     hi = np.where(carried, 1.0 / np.maximum(v_count, 1), 2.0).reshape(-1)

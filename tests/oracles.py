@@ -328,6 +328,29 @@ def backward_set(x: Site, g: OutMap) -> set:
     return {dom.index_site(i) for i in seen}
 
 
+def directed_cycles_reference(g: OutMap) -> list:
+    """Flat site indices of every directed cycle of g, miniloops included,
+    each reported once: walk forward from every site in index order and
+    record each cycle the first time a walk closes it.  The first walk into a
+    component starts at its least site, so cycles come in component order,
+    each starting at the first cycle site that walk reaches."""
+    o = g.out_index
+    color = [0] * len(o)  # 0 new, 1 on the current walk, 2 done
+    cycles = []
+    for s in range(len(o)):
+        path = []
+        u = s
+        while u >= 0 and not color[u]:
+            color[u] = 1
+            path.append(u)
+            u = int(o[u])
+        if u >= 0 and color[u] == 1:
+            cycles.append(path[path.index(u):])
+        for i in path:
+            color[i] = 2
+    return cycles
+
+
 # ---- iid connection probability -----------------------------------------------------
 
 

@@ -1,7 +1,8 @@
 """Acceptance gate: one test per criterion, exact tolerances pinned.
 
-Each test appends a PASS/FAIL line to tests/_artifacts/acceptance_log.txt and
-prints it, so a bare pytest run leaves a human-readable scoreboard behind.
+Each test writes a PASS/FAIL line to tests/_artifacts/acceptance_log.txt and
+prints it, so a bare pytest run leaves a human-readable scoreboard behind.  The
+first line of a session replaces what an earlier run left there.
 """
 
 from __future__ import annotations
@@ -63,12 +64,15 @@ from nnlab.weights import (
 from conftest import vertex_priority_digraph
 
 ARTIFACTS = Path(__file__).parent / "_artifacts"
+_log_started = False
 
 
 def _record(line: str):
+    global _log_started
     ARTIFACTS.mkdir(exist_ok=True)
-    with (ARTIFACTS / "acceptance_log.txt").open("a") as fh:
+    with (ARTIFACTS / "acceptance_log.txt").open("a" if _log_started else "w") as fh:
         fh.write(line + "\n")
+    _log_started = True
     print(line)
 
 

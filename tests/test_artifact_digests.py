@@ -16,7 +16,7 @@ from click.testing import CliRunner
 
 from nnlab.cli import main
 from nnlab.generators import GeneratorSpec
-from nnlab.lattice import Box
+from nnlab.lattice import Box, Torus
 from nnlab.nngraph import OutMap, build_nn_directed
 from nnlab.rng import SeededRng
 from nnlab.serialize import (
@@ -98,6 +98,65 @@ def test_artifact_digests_pinned(tmp_path):
     assert artifact_digests(tmp_path) == PINNED
 
 
+# ---- nnlab verify reports ----------------------------------------------------------
+
+# sha256 of the JSON report that `nnlab verify --report` writes for each input,
+# recorded while long cycles were still found by a per-site walk
+VERIFY_PINNED = {
+    "box_squares": "289b40c3e1e0e45ff5d4eae9dcd756e4a1a5ddfa82aa89d93fde84e01afa3d8f",
+    "unit_square_torus": "f3b4c4be93d2f7bebde402538c7e39bb052ce72d0c0fcbe7641a7136bdcc2375",
+    "zm32": "75043794be067f8257b50e3bf512b82d628cb184af6412536f0374e9b6bc1eb9",
+}
+
+
+def _box_squares() -> OutMap:
+    """Two directed squares in a box, each fed by a tree whose least site lies
+    off the cycle and enters it away from the cycle's least site, so the
+    reported cycles show where each one starts."""
+    edges = {
+        # square A, counter-clockwise, entered at (2, 3)
+        (2, 2): (3, 2), (3, 2): (3, 3), (3, 3): (2, 3), (2, 3): (2, 2),
+        (0, 3): (1, 3), (1, 3): (2, 3), (4, 2): (3, 2),
+        # square B, clockwise, entered at (6, 7)
+        (6, 6): (6, 7), (6, 7): (7, 7), (7, 7): (7, 6), (7, 6): (6, 6),
+        (5, 8): (5, 7), (5, 7): (6, 7), (7, 5): (7, 6),
+    }
+    return OutMap(Box((0, 0), (9, 9)), edges)
+
+
+def _unit_square_torus() -> OutMap:
+    """An iid graph on a 6x6 torus with a directed unit square forced in: a
+    long cycle that does not wind."""
+    dom = Torus((6, 6))
+    g = build_nn_directed(sample_iid_uniform(dom, SeededRng(5)))
+    for x, y in (((0, 0), (1, 0)), ((1, 0), (1, 1)), ((1, 1), (0, 1)), ((0, 1), (0, 0))):
+        g.set_out(x, y)
+    return g
+
+
+def verify_report_digests(root: Path) -> dict:
+    """sha256 of each pinned `nnlab verify` report, built under ``root``."""
+    runs = {
+        "box_squares": (["--in", str(root / "box_squares")], 1),
+        "unit_square_torus": (["--in", str(root / "unit_square_torus")], 1),
+        "zm32": (["--model", "zerner_merkl", "--torus", "32x32", "--seed", "3"], 0),
+    }
+    for name, g in (("box_squares", _box_squares()), ("unit_square_torus", _unit_square_torus())):
+        (root / name).mkdir()
+        write_outmap_jsonl(g, root / name / "graph.jsonl")
+    digests = {}
+    for name, (flags, code) in runs.items():
+        report = root / f"{name}.json"
+        res = CliRunner().invoke(main, ["verify", *flags, "--report", str(report)])
+        assert res.exit_code == code, res.output
+        digests[name] = file_sha256(report)
+    return digests
+
+
+def test_verify_report_digests_pinned(tmp_path):
+    assert verify_report_digests(tmp_path) == VERIFY_PINNED
+
+
 @pytest.mark.parametrize("name", sorted(CLI_RUNS))
 def test_readers_return_what_was_written(tmp_path, name):
     out = _generate(tmp_path, name)
@@ -123,4 +182,7 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         for key, digest in sorted(artifact_digests(Path(tmp)).items()):
+            print(f'    "{key}": "{digest}",')
+    with tempfile.TemporaryDirectory() as tmp:
+        for key, digest in sorted(verify_report_digests(Path(tmp)).items()):
             print(f'    "{key}": "{digest}",')

@@ -28,6 +28,7 @@ from conftest import brute_force_components, brute_force_nn, random_outmap, vert
 from oracles import (
     backward_set,
     check_monotone_decreasing,
+    directed_cycles_reference,
     infimum_supremum_along,
     outmap_wrapping_components,
     r_descendant,
@@ -131,6 +132,37 @@ def test_backward_sizes_match_bfs():
         sizes = backward_sizes(g)
         for i in range(g.dom.n_sites):
             assert sizes[i] == len(backward_set(g.dom.index_site(i), g))
+
+
+def _cycle_winds(sites: list, dom) -> bool:
+    if not isinstance(dom, Torus):
+        return False
+    steps = [dom.displacement(a, b) for a, b in zip(sites, sites[1:] + sites[:1])]
+    return any(map(sum, zip(*steps)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10**9),
+    dom=st.sampled_from([
+        Box((0, 0), (5, 6)), Box((-1, 0, 2), (2, 3, 4)), Box((0,), (9,)),
+        Torus((5, 5)), Torus((6, 4)), Torus((3, 4, 3)), Torus((7,)),
+    ]),
+)
+def test_peel_matches_cycle_walk_and_backward_sets(seed, dom):
+    # random_outmap drifts in a random direction half the time, so tori get
+    # winding cycles as well as contractible ones
+    g = random_outmap(dom, seed)
+    lab = undirected_components(g)
+    cycles = directed_cycles_reference(g)
+    assert sorted(lab.labels[[c[0] for c in cycles]]) == list(np.flatnonzero(lab.cycle_len))
+    for c in cycles:
+        assert lab.cycle_len[lab.labels[c[0]]] == len(c)
+    long = [dom.index_sites(c) for c in cycles if len(c) >= 3]
+    rep = verify_theorem3_preconditions(g, labeling=lab)
+    assert rep.wrapping_cycles == [c for c in long if _cycle_winds(c, dom)]
+    assert rep.long_cycles == [c for c in long if not _cycle_winds(c, dom)]
+    assert lab.backward.tolist() == [len(backward_set(x, g)) for x in dom.sites()]
 
 
 def test_backward_forward_consistency():

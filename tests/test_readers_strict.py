@@ -1,10 +1,12 @@
-"""Bad graph.jsonl / weights.csv content: exit 2 with a one-line error, never a
-traceback and never exit 1 ("property failed")."""
+"""Bad graph.jsonl / weights.csv content, and domains past MAX_SITES from any
+input surface: exit 2 with a one-line error, never a traceback and never exit 1
+("property failed")."""
 
 from __future__ import annotations
 
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -133,8 +135,8 @@ _NOISE = st.text(alphabet='[],-0123456789 .\n\t"xpaeinft', max_size=8)
 @given(data=st.data(), fname=st.sampled_from(["graph.jsonl", "weights.csv"]),
        op=st.sampled_from(["truncate", "delete", "insert", "replace"]))
 def test_fuzzed_body_never_tracebacks(run_dir, data, fname, op):
-    # Only the body is mutated: a mutated header could name a domain with
-    # billions of sites, which the reader would then try to allocate.
+    # Only the body is mutated: a mutated header could name a domain of up to
+    # MAX_SITES sites, which the reader would then allocate.
     text = (run_dir / fname).read_text()
     body_start = text.index("\n") + 1
     pos = data.draw(st.integers(body_start, len(text)), label="pos")
@@ -151,3 +153,63 @@ def test_fuzzed_body_never_tracebacks(run_dir, data, fname, op):
             res = CliRunner().invoke(main, args)
             assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
             assert res.exit_code in (0, 1, 2, 3)
+
+
+# ---- domains past MAX_SITES -----------------------------------------------------------
+
+_HUGE_TORUS = {"kind": "torus", "sides": [10**6, 10**6]}
+_HUGE_BOX = {"kind": "box", "lo": [0, 0], "hi": [10**6 - 1, 10**6 - 1]}
+_DYADIC_8 = {"variant": "dyadic", "n": 30, "window": {"kind": "box", "lo": [0, 0], "hi": [7, 7]}}
+
+HUGE_HEADERS = {
+    "graph.jsonl": json.dumps({"active_margin": 0, "domain": _HUGE_TORUS}),
+    "weights.csv": json.dumps({"domain": _HUGE_BOX}),
+}
+
+HUGE_SPECS = {
+    "iid torus": {"variant": "iid", "domain": _HUGE_TORUS},
+    "dyadic window": {"variant": "dyadic", "n": 30, "window": _HUGE_BOX},
+    "zerner_merkl side": {"variant": "zerner_merkl", "L": 10**6},
+    "layer count": {"variant": "layered", "layers": 10**12, "base": _DYADIC_8},
+}
+
+
+def _invoke_without_allocating(args):
+    """Run the CLI and check that it never held more than 16 MB, far below one
+    byte per declared site."""
+    tracemalloc.start()
+    try:
+        res = CliRunner().invoke(main, args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**24, peak
+    return res
+
+
+@pytest.mark.parametrize("fname", sorted(HUGE_HEADERS))
+def test_huge_header_exits_2(run_dir, tmp_path, fname):
+    text = _edit((run_dir / fname).read_text(), header=HUGE_HEADERS[fname])
+    bad = _copy_with(run_dir, tmp_path / "bad", fname, text)
+    res = _invoke_without_allocating(["verify", "--in", str(bad)])
+    _assert_bad_input(res)
+    assert "MAX_SITES" in res.stderr
+
+
+@pytest.mark.parametrize("flag", [["--torus", "1000000x1000000"], ["--box", "1000000x1000000"],
+                                  ["--box", "0,0,0:9999,9999,9999"]])
+def test_huge_domain_flag_exits_2(tmp_path, flag):
+    res = _invoke_without_allocating(["generate", "--model", "iid", *flag, "--seed", "1",
+                                      "--out", str(tmp_path / "out")])
+    _assert_bad_input(res)
+    assert "MAX_SITES" in res.stderr
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_SPECS))
+def test_huge_spec_domain_exits_2(tmp_path, case):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(HUGE_SPECS[case]))
+    res = _invoke_without_allocating(["generate", "--spec", str(spec), "--seed", "1",
+                                      "--out", str(tmp_path / "out")])
+    _assert_bad_input(res)
+    assert "MAX_SITES" in res.stderr

@@ -127,6 +127,27 @@ def test_cli_verify_zerner_merkl_torus(tmp_path):
     assert report["suites"]["preconditions"]["wrapping_cycles"] == 2
 
 
+@pytest.mark.parametrize("flags", [["--model", "zerner_merkl", "--torus", "16x16", "--seed", "7"],
+                                   ["--model", "iid", "--torus", "12x12", "--seed", "1"]])
+def test_cli_verify_labels_the_graph_once(monkeypatch, flags):
+    import nnlab
+
+    calls = {"undirected_components": 0, "torus_winding": 0}
+    for name in calls:
+        fn = getattr(nnlab.nngraph, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in (nnlab.nngraph, nnlab.cli, nnlab.weights, nnlab.stats, nnlab.topology):
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    res = CliRunner().invoke(main, ["verify", *flags])
+    assert res.exit_code == 0, res.output
+    assert calls == {"undirected_components": 1, "torus_winding": 1}
+
+
 def test_cli_roundtrip_generators():
     runner = CliRunner()
     res = runner.invoke(main, ["roundtrip", "--model", "dyadic", "--box", "10x10", "--seed", "5"])
