@@ -97,7 +97,7 @@ def _load_spec(spec_file, model, torus, box, seed_opts) -> GeneratorSpec:
         if doc.get("variant") == "iid":
             doc["domain"] = domain_to_dict(dom)
         elif doc.get("variant") == "zerner_merkl":
-            if not isinstance(dom, Torus) or dom.sides[0] != dom.sides[1]:
+            if not isinstance(dom, Torus) or dom.sides != (dom.sides[0],) * 2:
                 raise SpecError("zerner_merkl takes a square torus")
             doc["L"] = dom.sides[0]
         else:

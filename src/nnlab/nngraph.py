@@ -45,20 +45,26 @@ class OutMap:
         self._check_targets()
 
     def _check_targets(self):
-        o = self._out
-        present = o >= 0
-        if np.any(o[present] >= self.dom.n_sites):
+        idx = np.flatnonzero(self._out >= 0)
+        tgt = self._out[idx]
+        if np.any(tgt >= self.dom.n_sites):
             raise DomainError("out-neighbor index outside domain")
-        idx = np.where(present)[0]
-        if np.any(o[idx] == idx):
-            bad = int(idx[o[idx] == idx][0])
+        diff = tgt - idx
+        if not diff.all():
+            bad = int(idx[np.argmin(diff != 0)])
             raise DomainError(f"self-loop at {self.dom.index_site(bad)}")
-        ok = np.zeros(len(o), dtype=bool)
-        for a in range(self.dom.d):
-            for s in (+1, -1):
-                ok |= o == self.dom.neighbor_index(a, s)
-        if np.any(present & ~ok):
-            bad = int(np.where(present & ~ok)[0][0])
+        # adjacency from the index step alone: +-stride along an axis whose
+        # coordinate is not on the face it would cross, or on a torus the
+        # -+(side-1)*stride wrap across that face
+        ok = np.zeros(len(idx), dtype=bool)
+        for side, stride in zip(self.dom.shape, flat_strides(self.dom.shape)):
+            c = idx // stride % side
+            ok |= (diff == stride) & (c < side - 1) | (diff == -stride) & (c > 0)
+            if self.dom.wraps:
+                wrap = (side - 1) * stride
+                ok |= (diff == -wrap) & (c == side - 1) | (diff == wrap) & (c == 0)
+        if not ok.all():
+            bad = int(idx[np.argmin(ok)])
             raise DomainError(
                 f"out-neighbor of {self.dom.index_site(bad)} is not adjacent"
             )

@@ -2,8 +2,9 @@
 
 Each function here recomputes something the package computes with array code,
 the slow and obvious way: union-find and flood fill over site tuples, forward
-walks one edge at a time, lifts of a component to the covering lattice.  None
-of them is used by the package itself.
+walks one edge at a time, lifts of a component to the covering lattice, and
+the generators computed on whole-window coordinate arrays.  None of them is
+used by the package itself.
 """
 
 from __future__ import annotations
@@ -12,9 +13,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from nnlab.errors import SpecError, StructureError
-from nnlab.generators import gen_dyadic_i
-from nnlab.lattice import Site, Torus, canonical_edge, dual_of, primal_of
+from nnlab.generators import _dyadic_axis, fill_region, gen_dyadic_i
+from nnlab.lattice import Box, Site, Torus, canonical_edge, dual_of, flat_strides, primal_of
 from nnlab.nngraph import OutMap, PathTrace, TwoCycle, forward_path
 from nnlab.rng import SeededRng
 from nnlab.topology import Region, RegionClassification
@@ -429,6 +432,140 @@ def stretched_segment_edges(case: str, k: int, base: Site, axis: int) -> list:
         fwd = [(pts[l], pts[l + 1]) for l in range(2 * k + 1, s)]
         return back + fwd
     raise SpecError(f"unknown segment case {case!r}")
+
+
+# ---- whole-window generator references ------------------------------------------------
+#
+# The generators before they were made separable: every per-site quantity is
+# computed on (n_sites, d) coordinate arrays of the window.  The tests require
+# the package's per-axis versions to give the same out-maps and metadata.
+
+
+def gen_dyadic_window_reference(n: int, Z: Site, window: Box) -> np.ndarray:
+    """Out-index array of the dyadic rule on window + Z, from the window's coordinates."""
+    coords = window.index_coords()
+    shifted = coords + np.asarray(Z, dtype=np.int64)
+    ax = _dyadic_axis(shifted)
+    tgt = coords.copy()
+    tgt[np.arange(len(tgt)), ax] -= 1
+    inside = np.all((tgt >= np.asarray(window.lo)) & (tgt <= np.asarray(window.hi)), axis=1)
+    out = np.full(window.n_sites, -1, dtype=np.int64)
+    flat_tgt = ((tgt - np.asarray(window.lo)) * flat_strides(window.shape)).sum(axis=1)
+    out[inside] = flat_tgt[inside]
+    return out
+
+
+def _residue_class(Y: np.ndarray, k: int, j: int) -> tuple:
+    """Masks for membership in V^(j): (on some segment, at a corner)."""
+    s = 4 * k
+    res = (Y - 4 * (j - 1)) % s
+    zeros = (res == 0).sum(axis=1)
+    d = Y.shape[1]
+    return zeros >= d - 1, zeros == d
+
+
+def finite_k_membership_reference(window: Box, U: Site, k: int) -> np.ndarray:
+    """Per-site sublattice id from the residues of every coordinate row."""
+    Y = window.index_coords() - np.asarray(U, dtype=np.int64)
+    lab = np.zeros(window.n_sites, dtype=np.int64)
+    for j in range(1, k + 1):
+        member, _ = _residue_class(Y, k, j)
+        lab[member] = j
+    return lab
+
+
+def gen_finite_k_reference(k: int, n: int, window: Box, rng: SeededRng) -> tuple:
+    """(out-index array, U, system) of the 4k-stretch, drawing the same
+    shifts from ``rng`` as ``gen_finite_k`` with its default coarse rule."""
+    d = window.d
+    s = 4 * k
+    span = max(window.shape) // s + 3
+    shifts = [
+        tuple(int(c) for c in rng.child("finite-k-shift", j).integers(span + 1, 2**n, d))
+        for j in range(1, k + 1)
+    ]
+
+    def coarse_out(j: int, X: np.ndarray) -> np.ndarray:
+        shifted = X + np.asarray(shifts[j - 1], dtype=np.int64)
+        ax = _dyadic_axis(shifted)
+        tgt = X.copy()
+        tgt[np.arange(len(tgt)), ax] -= 1
+        return tgt
+
+    U = tuple(int(c) for c in rng.child("finite-k-final-shift").integers(0, s - 1, d))
+    coords = window.index_coords()
+    Y = coords - np.asarray(U, dtype=np.int64)
+    nsite = window.n_sites
+    out_disp = np.zeros((nsite, d), dtype=np.int64)
+    assigned = np.zeros(nsite, dtype=bool)
+    for j in range(1, k + 1):
+        member, corner = _residue_class(Y, k, j)
+        r = 4 * (j - 1)
+        cidx = np.where(corner)[0]
+        X = (Y[cidx] - r) // s
+        out_disp[cidx] = coarse_out(j, X) - X
+        assigned[cidx] = True
+        sidx = np.where(member & ~corner)[0]
+        res = (Y[sidx] - r) % s
+        free = np.argmax(res != 0, axis=1)
+        ell = res[np.arange(len(sidx)), free]
+        base = Y[sidx].copy()
+        base[np.arange(len(sidx)), free] -= ell
+        Xb = (base - r) // s
+        e_free = np.zeros_like(Xb)
+        e_free[np.arange(len(sidx)), free] = 1
+        case_a = np.all(coarse_out(j, Xb) == Xb + e_free, axis=1)
+        case_b = np.all(coarse_out(j, Xb + e_free) == Xb, axis=1) & ~case_a
+        sign = np.where(case_a, 1, np.where(case_b, -1, 0))
+        sign = np.where(sign != 0, sign, np.where(ell <= 2 * k, -1, 1))
+        out_disp[sidx] = e_free * sign[:, None]
+        assigned[sidx] = True
+
+    # filler: a spanning forest of each whole cell's non-member sites
+    rel_box = Box((-2 * k,) * d, (2 * k - 1,) * d)
+    rel_coords = rel_box.index_coords()
+    rel_member = np.zeros(len(rel_coords), dtype=bool)
+    for j in range(1, k + 1):
+        m, _ = _residue_class(rel_coords, k, j)
+        rel_member |= m
+    rel_out = fill_region({tuple(int(c) for c in row) for row in rel_coords[~rel_member]})
+    lo = np.asarray(window.lo)
+    strides = flat_strides(window.shape)
+    out = np.full(nsite, -1, dtype=np.int64)
+    src_rel = np.array(sorted(rel_out), dtype=np.int64)
+    dst_rel = np.array([rel_out[tuple(r)] for r in src_rel.tolist()], dtype=np.int64)
+    src_off = (src_rel * strides).sum(axis=1)
+    dst_off = (dst_rel * strides).sum(axis=1)
+    c_lo = np.ceil((lo - np.asarray(U) + 2 * k) / s).astype(np.int64)
+    c_hi = np.floor((np.asarray(window.hi) - np.asarray(U) - (2 * k - 1)) / s).astype(np.int64)
+    if np.all(c_hi >= c_lo):
+        grid = np.meshgrid(*[np.arange(a, b + 1) for a, b in zip(c_lo, c_hi)], indexing="ij")
+        for cell in np.stack([g.reshape(-1) for g in grid], axis=1):
+            base_flat = ((cell * s + np.asarray(U) - lo) * strides).sum()
+            out[base_flat + src_off] = base_flat + dst_off
+
+    aidx = np.where(assigned)[0]
+    tgt = coords[aidx] + out_disp[aidx]
+    inside = np.all((tgt >= lo) & (tgt <= np.asarray(window.hi)), axis=1)
+    out[aidx[inside]] = ((tgt[inside] - lo) * strides).sum(axis=1)
+    return out, U, finite_k_membership_reference(window, U, k)
+
+
+def check_targets_reference(dom, out: np.ndarray) -> Optional[str]:
+    """The DomainError message ``OutMap`` raises for ``out``, or None if the
+    map is admissible: the first out-of-range target, then the first
+    self-loop, then the first site whose target is not in its neighbor table."""
+    present = [i for i in range(dom.n_sites) if out[i] >= 0]
+    if any(out[i] >= dom.n_sites for i in present):
+        return "out-neighbor index outside domain"
+    for i in present:
+        if out[i] == i:
+            return f"self-loop at {dom.index_site(i)}"
+    for i in present:
+        table = {dom.site_index(y) for y in dom.neighbors(dom.index_site(i))}
+        if out[i] not in table:
+            return f"out-neighbor of {dom.index_site(i)} is not adjacent"
+    return None
 
 
 # ---- per-site path and structure checks ---------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nnlab.errors import DomainError, SpecError, StructureError
@@ -33,7 +33,14 @@ from nnlab.generators import (
 )
 from nnlab.weights import verify_theorem3_preconditions
 
-from oracles import dyadic_out, forward_closure, stretched_segment_edges, zm_class_sites
+from oracles import (
+    dyadic_out,
+    forward_closure,
+    gen_dyadic_window_reference,
+    gen_finite_k_reference,
+    stretched_segment_edges,
+    zm_class_sites,
+)
 
 
 # ---- Zerner-Merkl -----------------------------------------------------------------
@@ -159,6 +166,23 @@ def test_dyadic_out_matches_window_rule():
         shifted = tuple(c + z for c, z in zip(x, Z))
         expect = tuple(a - b for a, b in zip(dyadic_out(shifted), Z))
         assert g.out(x) == (expect if win.contains(expect) else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(2, 4), n=st.integers(1, 62))
+def test_dyadic_window_matches_whole_window_reference(data, d, n):
+    # the per-axis valuation tables give the rule computed on the window's
+    # coordinate rows, on off-origin windows with any admissible shift
+    side_max = {2: 40, 3: 12, 4: 6}[d]
+    lo = data.draw(st.lists(st.integers(-6, 20), min_size=d, max_size=d), label="lo")
+    sides = data.draw(st.lists(st.integers(1, side_max), min_size=d, max_size=d), label="sides")
+    assume(all(2**n > -c for c in lo))
+    Z = tuple(data.draw(st.integers(max(0, -c), 2**n - 1), label="Z") for c in lo)
+    win = Box(tuple(lo), tuple(c + s - 1 for c, s in zip(lo, sides)))
+    assume(not all(l + z <= 0 <= h + z for l, h, z in zip(win.lo, win.hi, Z)))
+    g = gen_dyadic_window(n, Z, win)
+    assert np.array_equal(g.out_index, gen_dyadic_window_reference(n, Z, win))
+    assert np.array_equal(g.meta["system"], np.zeros(win.n_sites, dtype=np.int64))
 
 
 def test_dyadic_k_box_reach_and_stay():
@@ -397,6 +421,34 @@ def test_finite_k_segment_orientation_decodes_coarse_rule():
                 assert (pos == s - 1) or (neg == s - 1) or (neg == 4 and pos == 3)
                 checked += 1
     assert checked >= 4
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dk=st.sampled_from([(3, 2), (3, 3), (3, 4), (4, 2)]),
+    lo=st.tuples(*[st.integers(-30, 30)] * 4),
+    extra=st.tuples(*[st.integers(0, 9)] * 4),
+    seed=st.integers(0, 10**6),
+)
+@example(dk=(3, 2), lo=(0, 0, 0, 0), extra=(0, 0, 0, 0), seed=0)
+@example(dk=(3, 3), lo=(5, -7, 1, 0), extra=(0, 0, 0, 0), seed=1)
+@example(dk=(3, 4), lo=(0, 0, 0, 0), extra=(0, 1, 0, 0), seed=2)
+@example(dk=(4, 2), lo=(-3, 0, 11, 2), extra=(0, 0, 0, 0), seed=3)
+@example(dk=(4, 3), lo=(1, -2, 0, 4), extra=(0, 0, 0, 0), seed=4)
+def test_finite_k_matches_whole_window_reference(dk, lo, extra, seed):
+    # per-axis residue lists give the same map, sublattice ids and final
+    # shift as the whole-window residue arrays, down to windows that only
+    # just hold one 4k-cell (extra = 0 on every axis); 4-d windows with
+    # k >= 3 have 3*10^5 sites or more, so only one is run
+    d, k = dk
+    s = 4 * k
+    win = Box(lo[:d], tuple(c + 2 * s - 1 + e for c, e in zip(lo[:d], extra)))
+    g = gen_finite_k(k, 30, win, SeededRng(seed))
+    out, U, system = gen_finite_k_reference(k, 30, win, SeededRng(seed))
+    assert g.meta["U"] == U
+    assert np.array_equal(g.out_index, out)
+    assert np.array_equal(g.meta["system"], system)
+    assert np.array_equal(finite_k_membership(g), system)
 
 
 def test_finite_k_verifier_passes():

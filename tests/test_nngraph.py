@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nnlab.errors import SpecError, StructureError
+from nnlab.errors import DomainError, SpecError, StructureError
 from nnlab.lattice import Box, Torus
 from nnlab.nngraph import (
     ExitedDomain,
@@ -28,6 +28,7 @@ from conftest import brute_force_components, brute_force_nn, random_outmap, vert
 from oracles import (
     backward_set,
     check_monotone_decreasing,
+    check_targets_reference,
     directed_cycles_reference,
     infimum_supremum_along,
     outmap_wrapping_components,
@@ -163,6 +164,42 @@ def test_peel_matches_cycle_walk_and_backward_sets(seed, dom):
     assert rep.wrapping_cycles == [c for c in long if _cycle_winds(c, dom)]
     assert rep.long_cycles == [c for c in long if not _cycle_winds(c, dom)]
     assert lab.backward.tolist() == [len(backward_set(x, g)) for x in dom.sites()]
+
+
+@st.composite
+def _domains(draw):
+    d = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return Torus(draw(st.lists(st.integers(3, 4), min_size=d, max_size=d)))
+    lo = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    sides = draw(st.lists(st.integers(1, 4), min_size=d, max_size=d))
+    return Box(tuple(lo), tuple(c + s - 1 for c, s in zip(lo, sides)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dom=_domains(), data=st.data())
+def test_outmap_target_check_matches_neighbor_tables(dom, data):
+    # Tori need sides >= 3, so side-1 and side-2 axes occur on boxes only.
+    # Valid maps point at a random neighbor or nowhere; corrupted ones then
+    # overwrite a few entries with arbitrary indices, which reach across box
+    # faces, land on the site itself or leave the index range.
+    n = dom.n_sites
+    out = np.full(n, -1, dtype=np.int64)
+    for i in range(n):
+        nbrs = dom.neighbors(dom.index_site(i))
+        pick = data.draw(st.integers(-1, len(nbrs) - 1), label="pick")
+        if pick >= 0:
+            out[i] = dom.site_index(nbrs[pick])
+    for i in data.draw(st.lists(st.integers(0, n - 1), max_size=3), label="corrupt"):
+        out[i] = data.draw(st.integers(-2, n + 1), label="target")
+    expect = check_targets_reference(dom, out)
+    if expect is None:
+        assert np.array_equal(OutMap(dom, out).out_index, out)
+    else:
+        with pytest.raises(DomainError) as err:
+            OutMap(dom, out)
+        assert str(err.value) == expect
+    assert dom._nbr_cache == {}
 
 
 def test_backward_forward_consistency():

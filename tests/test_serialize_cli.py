@@ -5,11 +5,14 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nnlab.cli import main
 from nnlab.lattice import Box, Torus
@@ -207,6 +210,10 @@ def test_cli_exit_codes():
     res = runner.invoke(main, ["generate", "--model", "zerner_merkl", "--torus", "15x15",
                                "--seed", "1", "--out", "/tmp/x"])
     assert res.exit_code == 2  # odd side
+    for torus in ("16", "16x16x16"):
+        res = runner.invoke(main, ["generate", "--model", "zerner_merkl", "--torus", torus,
+                                   "--seed", "1", "--out", "/tmp/x"])
+        assert res.exit_code == 2 and "square torus" in res.stderr, res.output
 
 
 def test_cli_spec_file_with_flag_override(tmp_path):
@@ -317,3 +324,43 @@ def test_cli_census_pool_no_larger_than_seed_list(tmp_path, monkeypatch):
     assert res.exit_code == 0, res.output
     assert sizes == [3]
 
+
+
+# ---- CLI flag fuzz ----------------------------------------------------------------
+
+_SIDES = st.sampled_from(["1", "2", "3", "6", "16", "17", "0", "-1", "", "x", "a"])
+_DOMAIN_FLAGS = st.one_of(
+    st.lists(_SIDES, min_size=1, max_size=3).map(lambda s: ["--torus", "x".join(s)]),
+    st.lists(_SIDES, min_size=1, max_size=3).map(lambda s: ["--box", "x".join(s)]),
+    st.tuples(st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+              st.lists(st.integers(-3, 17), min_size=1, max_size=3)).map(
+        lambda lh: ["--box", ",".join(map(str, lh[0])) + ":" + ",".join(map(str, lh[1]))]),
+    st.just([]),
+)
+_SEEDS = st.sampled_from(["0", "0..1", "1,2", "2..1", "", ",", "a", "0..", "-1..0", "1..1,2"])
+_SMALL_INTS = st.one_of(st.none(), st.integers(-2, 5), st.sampled_from([30, 63, 64, 100]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    verb=st.sampled_from(["generate", "census"]),
+    model=st.sampled_from(["iid", "dyadic", "finite_k", "zerner_merkl", "layered", "type_c"]),
+    domain=_DOMAIN_FLAGS,
+    seeds=_SEEDS,
+    level=_SMALL_INTS,
+    k=_SMALL_INTS,
+)
+def test_fuzzed_flags_never_traceback(verb, model, domain, seeds, level, k):
+    # Small values only: the largest domain drawn is 17^3 sites.
+    args = [verb, "--model", model, *domain]
+    if k is not None:
+        args += ["--k", str(k)]
+    if verb == "generate":
+        args += ["--seed", "1"] + (["--level", str(level)] if level is not None else [])
+    else:
+        args += ["--seeds", seeds]
+    with tempfile.TemporaryDirectory() as tmp:
+        res = CliRunner().invoke(main, [*args, "--out", str(Path(tmp) / "out")])
+    assert res.exception is None or isinstance(res.exception, SystemExit), (args, res.exception)
+    assert res.exit_code in (0, 2, 3), (args, res.output)
+    assert "Traceback" not in res.output

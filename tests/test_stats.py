@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,22 @@ def test_census_iid_zero_giants():
     assert all(r.wrapping_count == 0 for r in recs)
     assert all(r.structure_pass_rate == 1.0 for r in recs)
     assert all(r.miniloop_count == r.n_components for r in recs)
+
+
+def test_fk3_census_memory_per_site():
+    # The generators enumerate sublattice members from per-axis residue
+    # lists and the adjacency check builds no neighbor tables, so no
+    # (n_sites, d) array or 2d-table cache is held; those took the peak to
+    # about 230 bytes per site.
+    win = Box((0, 0, 0), (63, 63, 63))
+    spec = GeneratorSpec("finite_k", k=3, n=30, window=win)
+    tracemalloc.start()
+    try:
+        census_once(spec, 1, verify_structure=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 110 * win.n_sites, peak / win.n_sites
 
 
 def test_connection_curve_small():
