@@ -18,9 +18,7 @@ from .lattice import (
     Box,
     Torus,
     canonical_edge,
-    dual_of,
     neighbors,
-    primal_of,
     star_neighbors,
 )
 from .nngraph import (

@@ -110,14 +110,24 @@ def _load_spec(spec_file, model, torus, box, seed_opts) -> GeneratorSpec:
     return GeneratorSpec.from_dict(doc)
 
 
+# The most seeds one census runs; a range A..B is checked on B - A, before
+# any list of seeds exists.
+MAX_SEEDS = 100_000
+
+
 def _parse_seeds(seeds: str) -> list:
+    too_many = f"--seeds {seeds!r} names more than MAX_SEEDS = {MAX_SEEDS} seeds"
     if ".." in seeds:
-        a, b = seeds.split("..")
-        seed_list = list(range(int(a), int(b) + 1))
+        a, b = (int(t) for t in seeds.split(".."))
+        if b - a >= MAX_SEEDS:
+            raise SpecError(too_many)
+        seed_list = list(range(a, b + 1))
     else:
         seed_list = [int(s) for s in seeds.split(",") if s != ""]
     if not seed_list:
         raise SpecError(f"--seeds {seeds!r} names no seeds; give A..B with A <= B or a comma list")
+    if len(seed_list) > MAX_SEEDS:
+        raise SpecError(too_many)
     return seed_list
 
 

@@ -25,9 +25,10 @@ which carves finite separating components out of the Zerner-Merkl pair.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -321,19 +322,27 @@ def _sublattice_labels(window: Box, U, k: int) -> np.ndarray:
     return lab
 
 
-def gen_finite_k(
-    k: int,
-    n: int,
-    window: Box,
-    rng: SeededRng,
-    coarse_out: Optional[Callable] = None,
-) -> OutMap:
+@functools.lru_cache(maxsize=None)
+def _filler_cell(k: int, d: int) -> tuple:
+    """The filler's out-edges on one 4k-cell, as read-only (m, d) source and
+    target offsets from the cell's center: fill_region over the cell's sites
+    outside every sublattice."""
+    rel_box = Box((-2 * k,) * d, (2 * k - 1,) * d)
+    rel_free = np.flatnonzero(_sublattice_labels(rel_box, (0,) * d, k) == 0)
+    rel_out = fill_region(set(rel_box.index_sites(rel_free)))
+    src = np.array(sorted(rel_out), dtype=np.int64)
+    dst = np.array([rel_out[tuple(r)] for r in src.tolist()], dtype=np.int64)
+    src.flags.writeable = dst.flags.writeable = False
+    return src, dst
+
+
+def gen_finite_k(k: int, n: int, window: Box, rng: SeededRng) -> OutMap:
     """k unbounded components in d >= 3 via the 4k-stretch of k dyadic samples.
 
-    ``coarse_out`` overrides the per-sublattice coarse rule for tests; the
-    default draws k independent dyadic shifts.  The assembled map is shifted
-    by a uniform vector in [0, 4k-1)^d and declares an active margin of 4k
-    (the filler needs whole cells, so a boundary collar stays silent).
+    The coarse rule of each sublattice is a dyadic sample with its own
+    shift.  The assembled map is shifted by a uniform vector in [0, 4k-1)^d
+    and declares an active margin of 4k (the filler needs whole cells, so a
+    boundary collar stays silent).
 
     The members of each sublattice V^(j) are enumerated from per-axis
     residue lists (about 6% of the window for k = 3), and the corner and
@@ -349,23 +358,22 @@ def gen_finite_k(
     if any(sz < 2 * s for sz in window.shape):
         raise SpecError(f"window too small to hold a full {s}-cell")
 
-    if coarse_out is None:
-        # keep every touched coarse vertex strictly inside the shifted orthant
-        span = max(window.shape) // s + 3
-        if 2**n <= span + 1:
-            raise SpecError(f"level n={n} too small for this window")
-        shifts = [
-            tuple(int(c) for c in rng.child("finite-k-shift", j).integers(span + 1, 2**n, d))
-            for j in range(1, k + 1)
-        ]
+    # keep every touched coarse vertex strictly inside the shifted orthant
+    span = max(window.shape) // s + 3
+    if 2**n <= span + 1:
+        raise SpecError(f"level n={n} too small for this window")
+    shifts = [
+        tuple(int(c) for c in rng.child("finite-k-shift", j).integers(span + 1, 2**n, d))
+        for j in range(1, k + 1)
+    ]
 
-        def coarse_out(j: int, X: np.ndarray) -> np.ndarray:
-            """Coarse out-neighbor of each row of X for sublattice j (dyadic)."""
-            shifted = X + np.asarray(shifts[j - 1], dtype=np.int64)
-            ax = _dyadic_axis(shifted)
-            tgt = X.copy()
-            tgt[np.arange(len(tgt)), ax] -= 1
-            return tgt
+    def coarse_out(j: int, X: np.ndarray) -> np.ndarray:
+        """Coarse out-neighbor of each row of X for sublattice j (dyadic)."""
+        shifted = X + np.asarray(shifts[j - 1], dtype=np.int64)
+        ax = _dyadic_axis(shifted)
+        tgt = X.copy()
+        tgt[np.arange(len(tgt)), ax] -= 1
+        return tgt
 
     u_draw = rng.child("finite-k-final-shift").integers(0, s - 1, d)
     U = tuple(int(c) for c in u_draw)
@@ -375,21 +383,13 @@ def gen_finite_k(
     strides = flat_strides(shape)
     out = np.full(window.n_sites, -1, dtype=np.int64)
 
-    # filler: one precomputed cell pattern stamped on every whole cell
-    rel_box = Box((-2 * k,) * d, (2 * k - 1,) * d)
-    rel_free = np.flatnonzero(_sublattice_labels(rel_box, (0,) * d, k) == 0)
-    rel_out = fill_region(set(rel_box.index_sites(rel_free)))
-
-    src_rel = np.array(sorted(rel_out), dtype=np.int64)
-    dst_rel = np.array([rel_out[tuple(r)] for r in src_rel.tolist()], dtype=np.int64)
-    src_off = (src_rel * strides).sum(axis=1)
-    dst_off = (dst_rel * strides).sum(axis=1)
+    # filler: one cell pattern stamped on every whole cell at once
+    src_rel, dst_rel = _filler_cell(k, d)
     c_lo = np.ceil((lo - np.asarray(U) + 2 * k) / s).astype(np.int64)
     c_hi = np.floor((np.asarray(window.hi) - np.asarray(U) - (2 * k - 1)) / s).astype(np.int64)
-    for cell in _cells_between(c_lo, c_hi):
-        center = np.asarray(cell) * s + np.asarray(U)
-        base_flat = ((center - lo) * strides).sum()
-        out[base_flat + src_off] = base_flat + dst_off
+    cells = _product([np.arange(a, b + 1) for a, b in zip(c_lo, c_hi)])
+    base = ((cells * s + U - lo) @ strides)[:, None]
+    out[(base + src_rel @ strides).ravel()] = (base + dst_rel @ strides).ravel()
 
     # stretched edges, truncated at the window boundary; V^(j) never meets
     # the filler's sources, so the order of the writes does not matter
@@ -427,13 +427,6 @@ def gen_finite_k(
     # (filler components have L-infinity diameter at most 4k)
     g.meta["witness_size"] = s**d
     return g
-
-
-def _cells_between(c_lo: np.ndarray, c_hi: np.ndarray):
-    if np.any(c_hi < c_lo):
-        return
-    for row in _product([np.arange(a, b + 1) for a, b in zip(c_lo, c_hi)]):
-        yield tuple(int(c) for c in row)
 
 
 def finite_k_membership(g: OutMap) -> np.ndarray:

@@ -1,12 +1,9 @@
-"""Finite pieces of the cubic lattice: boxes, tori, adjacency and the planar dual.
+"""Finite pieces of the cubic lattice: boxes, tori and adjacency.
 
 Sites are plain tuples of ints.  A ``Box`` is an axis-aligned block with both
 corners inclusive; a ``Torus`` wraps every axis.  Undirected edges are stored
 as ordered pairs ``(a, b)`` with ``a`` lexicographically smallest, so that
 ``{a, b}`` and ``{b, a}`` produce the same value.
-
-Dual-lattice vertices (d=2 only) are pairs of half-integers, exactly
-representable as floats.
 """
 
 from __future__ import annotations
@@ -16,13 +13,11 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import DomainError, SpecError, UnsupportedDimensionError
+from .errors import DomainError, SpecError
 
 Site = tuple
 UEdge = tuple  # (site, site), canonically ordered
 DEdge = tuple  # (from_site, to_site)
-DualVertex = tuple  # (half-int, half-int) as floats
-DualEdge = tuple  # (dual_vertex, dual_vertex), canonically ordered
 
 
 # The most sites a Box or Torus may have, 19x the largest domain in use (the
@@ -313,78 +308,3 @@ def neighbors(x: Site, dom) -> list:
 
 def star_neighbors(x: Site, dom) -> list:
     return dom.star_neighbors(x)
-
-
-# ---- planar dual (d=2) ---------------------------------------------------------
-
-
-def _require_d2(obj_len: int):
-    if obj_len != 2:
-        raise UnsupportedDimensionError("dual lattice operations require d=2")
-
-
-def dual_of(e: UEdge, dom=None) -> DualEdge:
-    """The dual edge bisecting e.  For torus edges pass the domain so the step
-    across the seam resolves to the right unit displacement."""
-    a, b = e
-    _require_d2(len(a))
-    if isinstance(dom, Torus):
-        dv = dom.displacement(a, b)
-        if dv not in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            raise DomainError(f"{e} is not a lattice edge on {dom}")
-        if dv in ((-1, 0), (0, -1)):
-            a, dv = b, (-dv[0], -dv[1])
-    else:
-        dv = (b[0] - a[0], b[1] - a[1])
-        if dv in ((-1, 0), (0, -1)):
-            a, dv = b, (-dv[0], -dv[1])
-        if dv not in ((1, 0), (0, 1)):
-            raise DomainError(f"{e} is not a unit lattice edge")
-    x, y = a
-    if dv == (0, 1):  # vertical edge: dual runs horizontally through (x, y+1/2)
-        u = (x - 0.5, y + 0.5)
-        v = (x + 0.5, y + 0.5)
-    else:  # horizontal edge: dual runs vertically through (x+1/2, y)
-        u = (x + 0.5, y - 0.5)
-        v = (x + 0.5, y + 0.5)
-    if isinstance(dom, Torus):
-        u = _wrap_dual(u, dom)
-        v = _wrap_dual(v, dom)
-    return canonical_edge(u, v)
-
-
-def primal_of(f: DualEdge, dom=None) -> UEdge:
-    """Inverse of dual_of: the unique primal edge bisected by f."""
-    u, v = f
-    _require_d2(len(u))
-    if isinstance(dom, Torus):
-        du = dom.displacement(_dual_corner(u, dom), _dual_corner(v, dom))
-        if du not in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            raise DomainError(f"{f} is not a dual edge on {dom}")
-        if du in ((-1, 0), (0, -1)):
-            u, du = v, (-du[0], -du[1])
-    else:
-        du = (v[0] - u[0], v[1] - u[1])
-        if du in ((-1.0, 0.0), (0.0, -1.0)):
-            u, du = v, (-du[0], -du[1])
-        if du not in ((1.0, 0.0), (0.0, 1.0)):
-            raise DomainError(f"{f} is not a unit dual edge")
-    ux, uy = u
-    if du[0]:  # horizontal dual edge bisects a vertical primal edge
-        a = (int(round(ux + 0.5)), int(round(uy - 0.5)))
-        b = (a[0], a[1] + 1)
-    else:  # vertical dual edge bisects a horizontal primal edge
-        a = (int(round(ux - 0.5)), int(round(uy + 0.5)))
-        b = (a[0] + 1, a[1])
-    if isinstance(dom, Torus):
-        a, b = dom.wrap(a), dom.wrap(b)
-    return canonical_edge(a, b)
-
-
-def _wrap_dual(u: DualVertex, dom: Torus) -> DualVertex:
-    # float mod of exact halves by an int side is exact
-    return tuple(c % s for c, s in zip(u, dom.sides))
-
-
-def _dual_corner(u: DualVertex, dom: Torus) -> Site:
-    return tuple(int(round(c - 0.5)) % s for c, s in zip(u, dom.sides))

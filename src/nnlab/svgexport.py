@@ -47,18 +47,24 @@ def _format_each(values: np.ndarray, fmt) -> np.ndarray:
     return np.array([fmt(v) for v in uniq.tolist()], dtype=object)[inv.reshape(values.shape)]
 
 
+def _document(w, h, rows, defs: str = "") -> str:
+    """An SVG document of the given size: defs, a white background, then rows."""
+    return "".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+        f'viewBox="0 0 {w} {h}">\n',
+        defs,
+        f'<rect width="{w}" height="{h}" fill="white"/>\n',
+        *rows,
+        "</svg>",
+    ])
+
+
 def render_outmap_svg(g: OutMap, labeling=None) -> str:
     """Arrows on the lattice, components colored by label; wrap edges dashed."""
     w, h, pos = _geometry(g.dom)
     if labeling is None:
         labeling = undirected_components(g)
-    return "".join([
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-        f'viewBox="0 0 {w} {h}">\n',
-        f'<rect width="{w}" height="{h}" fill="white"/>\n',
-        *_outmap_rows(g, labeling, pos),
-        "</svg>",
-    ])
+    return _document(w, h, _outmap_rows(g, labeling, pos))
 
 
 def _outmap_rows(g: OutMap, labeling, pos) -> list:
@@ -94,34 +100,26 @@ def _outmap_rows(g: OutMap, labeling, pos) -> list:
 
 
 _REGION_FILL = {"a": None, "b": "url(#hatch)", "c": "url(#crosshatch)"}
+_HATCHES = (
+    "<defs>"
+    '<pattern id="hatch" width="6" height="6" patternUnits="userSpaceOnUse">'
+    '<path d="M0,6 L6,0" stroke="#555" stroke-width="1"/></pattern>'
+    '<pattern id="crosshatch" width="6" height="6" patternUnits="userSpaceOnUse">'
+    '<path d="M0,6 L6,0 M0,0 L6,6" stroke="#555" stroke-width="1"/></pattern>'
+    "</defs>\n"
+)
 
 
 def render_regions_svg(rc: RegionClassification) -> str:
     """Type (a) regions shaded per component, (b)/(c) hatched."""
-    dom = rc.window
-    w, h, pos = _geometry(dom)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-        f'viewBox="0 0 {w} {h}">',
-        "<defs>"
-        '<pattern id="hatch" width="6" height="6" patternUnits="userSpaceOnUse">'
-        '<path d="M0,6 L6,0" stroke="#555" stroke-width="1"/></pattern>'
-        '<pattern id="crosshatch" width="6" height="6" patternUnits="userSpaceOnUse">'
-        '<path d="M0,6 L6,0 M0,0 L6,6" stroke="#555" stroke-width="1"/></pattern>'
-        "</defs>",
-        f'<rect width="{w}" height="{h}" fill="white"/>',
-    ]
-    half = _SCALE // 2
-    for region in rc.regions:
-        fill = _REGION_FILL[region.kind] or _palette(region.rid)
-        for site in region.sites:
-            x0, y0 = pos(site)
-            parts.append(
-                f'<rect x="{_fmt(x0 - half)}" y="{_fmt(y0 - half)}" '
-                f'width="{_SCALE}" height="{_SCALE}" fill="{fill}" fill-opacity="0.55"/>'
-            )
-    parts.append("</svg>")
-    return "\n".join(parts)
+    w, h, pos = _geometry(rc.window)
+    sites = np.array([x for r in rc.regions for x in r.sites], dtype=np.int64)
+    fills = np.array([_REGION_FILL[r.kind] or _palette(r.rid) for r in rc.regions], dtype=object)
+    fill = np.repeat(fills, [len(r.sites) for r in rc.regions])
+    x, y = _format_each(np.stack(pos(sites)) - _SCALE // 2, _fmt)
+    rect = (f'<rect x="%s" y="%s" width="{_SCALE}" height="{_SCALE}" '
+            'fill="%s" fill-opacity="0.55"/>\n')
+    return _document(w, h, format_rows(rect, [x, y, fill]), _HATCHES)
 
 
 def write_svg(text: str, path):

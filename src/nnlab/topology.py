@@ -12,13 +12,14 @@ and results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import SpecError, StructureError, UnsupportedDimensionError
-from .lattice import Box, Torus, canonical_edge, primal_of
+from .lattice import Box, Torus
 from .nngraph import ComponentLabeling, label_components, torus_winding
 
 
@@ -70,17 +71,18 @@ def _closure_mask(mask: np.ndarray, window) -> np.ndarray:
     return mask | SubsetStructure(~mask, window).fill_mask()
 
 
-def _site_set(mask: np.ndarray, window) -> set:
-    return set(window.index_sites(np.flatnonzero(mask)))
-
-
 def closure(V: Iterable, window) -> set:
     """V plus every complement site-component that is finite in the proxy
     sense (does not touch a box boundary; on a torus, does not wrap)."""
-    return _site_set(_closure_mask(_sites_mask(V, window), window), window)
+    return set(window.index_sites(np.flatnonzero(_closure_mask(_sites_mask(V, window), window))))
 
 
 # ---- dual boundary ---------------------------------------------------------------
+#
+# A dual vertex is an id on a row-major grid, so id order is lexicographic
+# order.  On a torus the grid has the window's shape, with id 0 at
+# (1/2, 1/2); on a box it is one longer on each axis, with id 0 at lo - 1/2.
+# Float points are built only for returned values.
 
 
 @dataclass
@@ -111,130 +113,125 @@ def _crossed(clo: np.ndarray, window) -> list:
     return [(f >= 0) & (clo != clo[f]) for f in fwd]
 
 
-def _boundary_edges(clo: np.ndarray, window) -> list:
-    """boundary_edges() of a closure mask: the dual of a crossed edge from
-    (x, y) along axis a joins (x, y) + (1/2, 1/2) - e_(1-a) to (x, y) + (1/2, 1/2)."""
-    coords = window.index_coords()
-    out = []
+def _dual_shape(window) -> tuple:
+    return window.shape if isinstance(window, Torus) else tuple(s + 1 for s in window.shape)
+
+
+def _dual_points(ids, window) -> np.ndarray:
+    """(m, 2) float coordinates of dual ids."""
+    least = 0.5 if isinstance(window, Torus) else np.subtract(window.lo, 0.5)
+    return np.stack(np.unravel_index(ids, _dual_shape(window)), axis=-1) + least
+
+
+def _dual_pairs(lo: np.ndarray, hi: np.ndarray, window) -> list:
+    """Dual edges with end ids lo < hi, as pairs of float points."""
+    a, b = (map(tuple, _dual_points(v, window).tolist()) for v in (lo, hi))
+    return list(zip(a, b))
+
+
+def _dual_edges(clo: np.ndarray, window) -> tuple:
+    """The boundary of clo as id pairs lo < hi in sorted order, with the site
+    of each crossed edge outside clo, and whether clo lies on the left of the
+    step lo -> hi.
+
+    The crossed edge from site i along axis a is bisected by the step from
+    i + 1/2 - e_(1-a) to i + 1/2, which has i on its left for a = 0 and on its
+    right for a = 1; the side flips where a torus seam swaps the ends."""
+    shape = _dual_shape(window)
+    parts = []
     for a, crossed in enumerate(_crossed(clo, window)):
-        v = coords[crossed] + 0.5
-        u = v - np.eye(2)[1 - a]
-        if isinstance(window, Torus):
-            u %= window.sides  # exact on halves
-        out += map(canonical_edge, map(tuple, u.tolist()), map(tuple, v.tolist()))
-    return sorted(out)
+        i = np.flatnonzero(crossed)
+        j = window.neighbor_index(a, +1)[i]
+        r = np.stack(np.unravel_index(i, window.shape)) + isinstance(window, Box)
+        v = np.ravel_multi_index(r, shape)  # the point i + 1/2
+        r[1 - a] -= 1
+        u = np.ravel_multi_index(r, shape, mode="wrap")
+        left = clo[i] if a == 0 else clo[j]
+        parts.append((np.minimum(u, v), np.maximum(u, v), np.where(clo[i], j, i), left ^ (u > v)))
+    lo, hi, outside, left = map(np.concatenate, zip(*parts))
+    order = np.lexsort((hi, lo))
+    return lo[order], hi[order], outside[order], left[order]
+
+
+def _dual_walks(clo: np.ndarray, window) -> tuple:
+    """The boundary of clo (as _dual_edges) and its walks, each a triple
+    (closed, edge indices, vertex ids) in traversal order.
+
+    Open walks come first, from the odd-degree vertices in sorted order, then
+    circuits, each from the least unused edge.  At every vertex a walk takes
+    the least unused edge, and it stops where it started.  A circuit is then
+    rotated to the first visit of its least vertex, and a walk is reversed
+    unless clo lies on the left of its first step."""
+    lo, hi, _, left = edges = _dual_edges(clo, window)
+    m = len(lo)
+    ends, inc = np.concatenate([lo, hi]), np.tile(np.arange(m), 2)
+    deg = np.bincount(ends, minlength=math.prod(_dual_shape(window)))
+    at = np.r_[0, np.cumsum(deg)].tolist()
+    inc = inc[np.lexsort((inc, ends))].tolist()  # per vertex, its edges in order
+    end_sum, used = (lo + hi).tolist(), [False] * m
+
+    def walk(start, e):
+        run, path = [], [start]
+        while e >= 0:
+            used[e] = True
+            run.append(e)
+            path.append(x := end_sum[e] - path[-1])
+            e = -1 if x == start else next((f for f in inc[at[x] : at[x + 1]] if not used[f]), -1)
+        return run, path
+
+    walks = []
+    for x in np.flatnonzero(deg % 2).tolist():
+        for e in inc[at[x] : at[x + 1]]:
+            if not used[e]:
+                walks.append((False, *walk(x, e)))
+    for e in range(m):
+        if not used[e]:
+            run, path = walk(int(lo[e]), e)
+            walks.append((len(run) > 2 and path[-1] == path[0], run, path))
+    out = []
+    for closed, run, path in walks:
+        if closed:
+            k = path.index(min(path))
+            path, run = path[k:-1] + path[: k + 1], run[k:] + run[:k]
+        if left[run[0]] == (path[0] > path[1]):  # clo on the right of the first step
+            path.reverse()
+            run.reverse()
+        out.append((closed, run, path))
+    return edges, out
 
 
 def boundary_edges(V: Iterable, window) -> list:
     """Dual edges separating closure(V) from its complement, inside the window."""
-    return _boundary_edges(_closure_mask(_sites_mask(V, window), window), window)
+    lo, hi, _, _ = _dual_edges(_closure_mask(_sites_mask(V, window), window), window)
+    return _dual_pairs(lo, hi, window)
 
 
 def dual_boundary(V: Iterable, window) -> list:
     """Decompose the dual edge boundary of V into maximal paths and circuits,
     each traversed from its lexicographically least vertex with the closure on
     the left."""
-    clo = _closure_mask(_sites_mask(V, window), window)
-    return _dual_paths(_boundary_edges(clo, window), _site_set(clo, window), window)
-
-
-def _dual_paths(edges: list, clo: set, window) -> list:
-    adj: dict = {}
-    for e in edges:
-        adj.setdefault(e[0], []).append(e)
-        adj.setdefault(e[1], []).append(e)
-
-    unused = set(edges)
-    paths = []
-    # open paths first: start at odd-degree vertices; then remaining circuits
-    def walk(start_vertex, first_edge):
-        run = [first_edge]
-        unused.discard(first_edge)
-        cur = _other_endpoint(first_edge, start_vertex)
-        while True:
-            nxt = [e for e in adj[cur] if e in unused]
-            if not nxt:
-                break
-            e = nxt[0]
-            run.append(e)
-            unused.discard(e)
-            cur = _other_endpoint(e, cur)
-            if cur == start_vertex:
-                break
-        return run
-
-    endpoints = sorted(v for v, es in adj.items() if len(es) % 2 == 1)
-    for v in endpoints:
-        for e in sorted(adj[v]):
-            if e in unused:
-                run = walk(v, e)
-                paths.append(DualPath(run, closed=False))
-    while unused:
-        e0 = min(unused)
-        v0 = min(e0)
-        run = walk(v0, e0)
-        closed = _other_endpoint(run[-1], _path_tail(run, v0)) == v0 if len(run) > 1 else False
-        paths.append(DualPath(run, closed=len(run) > 2 and closed))
-    for p in paths:
-        _orient(p, clo, window)
-    return paths
-
-
-def _other_endpoint(e, v):
-    return e[1] if e[0] == v else e[0]
-
-
-def _path_tail(run, start):
-    cur = start
-    for e in run[:-1]:
-        cur = _other_endpoint(e, cur)
-    return cur
-
-
-def _orient(p: DualPath, clo: set, window):
-    """Normalize traversal: closure on the left; circuits additionally start
-    at their least dual vertex (open paths' start is forced by the side rule).
-    """
-    verts = p.vertices()
-    if len(verts) < 2:
-        return
-    if p.closed:
-        cyc = verts[:-1] if verts[0] == verts[-1] else verts
-        k = cyc.index(min(cyc))
-        verts = cyc[k:] + cyc[:k] + [cyc[k]]
-    if not _closure_on_left(verts[0], verts[1], clo, window):
-        verts.reverse()  # circuits still start and end at the least vertex
-    p.edges = [canonical_edge(a, b) for a, b in zip(verts, verts[1:])]
-
-
-def _closure_on_left(u, v, clo: set, window) -> bool:
-    """Whether the site on the left of the dual step u -> v, one end of the
-    primal edge it bisects, is in the closure."""
-    du = (v[0] - u[0], v[1] - u[1])
-    if isinstance(window, Torus):
-        du = tuple((t + s / 2) % s - s / 2 for t, s in zip(du, window.sides))
-    x = (round(u[0] + (du[0] - du[1]) / 2), round(u[1] + (du[0] + du[1]) / 2))
-    return (window.wrap(x) if isinstance(window, Torus) else x) in clo
+    (lo, hi, _, _), walks = _dual_walks(_closure_mask(_sites_mask(V, window), window), window)
+    pairs = _dual_pairs(lo, hi, window)
+    return [DualPath([pairs[e] for e in run], closed) for closed, run, _ in walks]
 
 
 def _plaquette_degrees(clo: np.ndarray, window) -> tuple:
-    """Lower-left corners i of the plaquettes inside the window, and how many
-    of each one's four sides cross the boundary of clo: the degree in B of the
-    dual vertex i + (1/2, 1/2)."""
+    """The dual points i + (1/2, 1/2) of the plaquettes inside the window, as
+    (m, 2) floats, where i is the lower-left corner, and how many of each
+    one's four sides cross the boundary of clo: the point's degree in B."""
     f0, f1 = window.neighbor_index(0, +1), window.neighbor_index(1, +1)
     c0, c1 = _crossed(clo, window)
     ll = np.flatnonzero((f0 >= 0) & (f1 >= 0))
     deg = c0[ll].astype(np.int64) + c0[f1[ll]] + c1[ll] + c1[f0[ll]]
-    return ll, deg
+    return np.stack(np.unravel_index(ll, window.shape), axis=-1) + np.add(window._lo, 0.5), deg
 
 
 def interior_dual_degrees(V: Iterable, window) -> dict:
     """Degree of each dual vertex of B(V), restricted to dual vertices whose
     four surrounding primal sites all lie in the window, in sorted order."""
-    ll, deg = _plaquette_degrees(_closure_mask(_sites_mask(V, window), window), window)
+    verts, deg = _plaquette_degrees(_closure_mask(_sites_mask(V, window), window), window)
     on = deg > 0
-    verts = (window.index_coords()[ll[on]] + 0.5).tolist()
-    return {(x, y): k for (x, y), k in zip(verts, deg[on].tolist())}
+    return {(x, y): k for (x, y), k in zip(verts[on].tolist(), deg[on].tolist())}
 
 
 # ---- star boundary path -----------------------------------------------------------
@@ -245,52 +242,36 @@ def star_boundary_path(component_sites: Iterable, window) -> list:
     closure: outside endpoints of the boundary's bisected edges, with the
     common outside site-neighbor inserted between diagonal consecutive pairs.
     """
-    mask = _closure_mask(_sites_mask(component_sites, window), window)
-    clo = _site_set(mask, window)
-    paths = _dual_paths(_boundary_edges(mask, window), clo, window)
-    runs = [p for p in paths if len(p.edges) > 0]
-    if len(runs) != 1:
-        raise StructureError(
-            f"expected a single boundary path, found {len(runs)}", witness=len(runs)
-        )
-    p = runs[0]
-    tor = window if isinstance(window, Torus) else None
-    xs = []
-    for e in p.edges:
-        a, b = primal_of(e, tor)
-        outside = b if a in clo else a
-        if a not in clo and b not in clo:
-            raise StructureError(f"dual edge {e} does not border the closure")
-        if not xs or xs[-1] != outside:
-            xs.append(outside)
-    pairs = list(zip(xs, xs[1:]))
-    if p.closed and len(xs) > 1 and xs[0] != xs[-1]:
-        pairs.append((xs[-1], xs[0]))  # circuits close back around
-    out = [xs[0]]
-    for x, y in pairs:
-        d = _site_delta(x, y, window)
-        if abs(d[0]) + abs(d[1]) == 1:
-            out.append(y)
-            continue
-        if max(abs(d[0]), abs(d[1])) != 1:
-            raise StructureError(f"boundary jump from {x} to {y} is not *-adjacent")
-        cands = [(x[0] + d[0], x[1]), (x[0], x[1] + d[1])]
-        if isinstance(window, Torus):
-            cands = [window.wrap(c) for c in cands]
-        pick = [c for c in cands if window.contains(c) and c not in clo]
-        if len(pick) != 1:
-            raise StructureError(f"no unique outside common neighbor between {x} and {y}")
-        out.append(pick[0])
-        out.append(y)
-    return out
-
-
-def _site_delta(x, y, window):
-    d = (y[0] - x[0], y[1] - x[1])
+    clo = _closure_mask(_sites_mask(component_sites, window), window)
+    (_, _, outside, _), walks = _dual_walks(clo, window)
+    if len(walks) != 1:
+        n = len(walks)
+        raise StructureError(f"expected a single boundary path, found {n}", witness=n)
+    closed, run, _ = walks[0]
+    xs = outside[run]
+    xs = xs[np.r_[True, xs[1:] != xs[:-1]]]
+    x, y = xs[:-1], xs[1:]
+    if closed and len(xs) > 1 and xs[0] != xs[-1]:
+        x, y = np.r_[x, xs[-1]], np.r_[y, xs[0]]  # circuits close back around
+    d = np.subtract(np.unravel_index(y, window.shape), np.unravel_index(x, window.shape))
     if isinstance(window, Torus):
-        sx, sy = window.sides
-        d = ((d[0] + sx // 2) % sx - sx // 2, (d[1] + sy // 2) % sy - sy // 2)
-    return d
+        s = np.asarray(window.sides)[:, None]
+        d = (d + s // 2) % s - s // 2
+    step = np.abs(d).sum(axis=0) == 1
+    diag = ~step & (np.abs(d).max(axis=0) == 1)
+    # the two common neighbors of a diagonal pair, and which lie outside clo
+    cand = [np.where(d[a] > 0, window.neighbor_index(a, +1)[x], window.neighbor_index(a, -1)[x])
+            for a in range(2)]
+    free = [(c >= 0) & ~clo[c] for c in cand]
+    bad = ~step & ~(diag & (free[0] != free[1]))
+    if bad.any():
+        k = int(np.argmax(bad))
+        a, b = window.index_site(int(x[k])), window.index_site(int(y[k]))
+        if not diag[k]:
+            raise StructureError(f"boundary jump from {a} to {b} is not *-adjacent")
+        raise StructureError(f"no unique outside common neighbor between {a} and {b}")
+    rows = np.stack([np.where(free[0], *cand), y], axis=1)
+    return window.index_sites(np.r_[xs[0], rows[np.stack([diag, np.ones_like(diag)], axis=1)]])
 
 
 # ---- region classification ---------------------------------------------------------
@@ -436,24 +417,20 @@ def check_complement_unbounded(V: Iterable, window) -> bool:
 def check_degree_two(V: Iterable, window, margin: int = 2) -> bool:
     """Interior dual vertices of B(V) have degree exactly two, for
     site-connected V (window-edge dual vertices are exempt on boxes)."""
-    ll, deg = _plaquette_degrees(_closure_mask(_sites_mask(V, window), window), window)
+    verts, deg = _plaquette_degrees(_closure_mask(_sites_mask(V, window), window), window)
     if isinstance(window, Box):
-        deg = deg[_clear(window.index_coords()[ll] + 0.5, window, margin)]
+        deg = deg[_clear(verts, window, margin)]
     return bool(np.all((deg == 0) | (deg == 2)))
 
 
 def check_no_interior_circuits(V: Iterable, window, margin: int = 2) -> bool:
     """Unbounded-proxy V: boundary fragments clear of the window edge must not
     close up into contractible circuits."""
-    for p in dual_boundary(V, window):
-        if not p.closed:
-            continue
-        if isinstance(window, Torus):
-            if not _dual_circuit_winds(p, window):
-                return False
-        elif _clear(np.array(p.vertices()), window, margin).all():
-            return False
-    return True
+    _, walks = _dual_walks(_closure_mask(_sites_mask(V, window), window), window)
+    circuits = [_dual_points(ids, window) for closed, _, ids in walks if closed]
+    if isinstance(window, Torus):
+        return all(_dual_circuit_winds(v, window) for v in circuits)
+    return not any(_clear(v, window, margin).all() for v in circuits)
 
 
 def _clear(v: np.ndarray, box: Box, margin) -> np.ndarray:
@@ -461,7 +438,8 @@ def _clear(v: np.ndarray, box: Box, margin) -> np.ndarray:
     return np.all((v >= np.add(box.lo, margin)) & (v <= np.subtract(box.hi, margin)), axis=1)
 
 
-def _dual_circuit_winds(p: DualPath, window: Torus) -> bool:
+def _dual_circuit_winds(v: np.ndarray, window: Torus) -> bool:
+    """Whether the circuit through the dual points v (rows) winds around the torus."""
     sides = np.asarray(window.sides)
-    total = ((np.diff(p.vertices(), axis=0) + sides / 2) % sides - sides / 2).sum(axis=0)
+    total = ((np.diff(v, axis=0) + sides / 2) % sides - sides / 2).sum(axis=0)
     return bool(np.any(np.abs(total) > 0.25))

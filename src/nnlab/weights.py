@@ -142,7 +142,7 @@ class PreconditionReport:
 
 
 def verify_theorem3_preconditions(
-    g: OutMap, dom=None, labeling: Optional[ComponentLabeling] = None
+    g: OutMap, labeling: Optional[ComponentLabeling] = None
 ) -> PreconditionReport:
     """Report every obstruction to realizing g as a nearest-neighbor graph.
 
@@ -150,8 +150,6 @@ def verify_theorem3_preconditions(
     the first cycle site on the orbit of its component's least site and runs
     in orbit order; it winds exactly when its component wraps, since the
     trees hanging off a cycle cannot wind."""
-    if dom is not None and dom != g.dom:
-        raise SpecError("digraph domain mismatch")
     dom = g.dom
     if labeling is None:
         labeling = undirected_components(g)
@@ -184,17 +182,13 @@ def verify_theorem3_preconditions(
 # ---- the constructor ------------------------------------------------------------
 
 
-def construct_weights(g: OutMap, dom=None, rng: Optional[SeededRng] = None) -> WeightField:
+def construct_weights(g: OutMap, rng: SeededRng) -> WeightField:
     """Weights whose nearest-neighbor graph is exactly g on its active set.
 
     Requires out-degree one at every active vertex and no directed cycles of
     length three or more (miniloops are fine); any cycle, wrapping included,
     breaks the strict nesting of backward sets that the recipe relies on.
     """
-    if rng is None:
-        raise SpecError("construct_weights needs a SeededRng")
-    if dom is not None and dom != g.dom:
-        raise SpecError("digraph domain mismatch")
     dom = g.dom
     lab = undirected_components(g)
     rep = verify_theorem3_preconditions(g, labeling=lab)

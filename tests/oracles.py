@@ -2,9 +2,10 @@
 
 Each function here recomputes something the package computes with array code,
 the slow and obvious way: union-find and flood fill over site tuples, forward
-walks one edge at a time, lifts of a component to the covering lattice, and
-the generators computed on whole-window coordinate arrays.  None of them is
-used by the package itself.
+walks one edge at a time, lifts of a component to the covering lattice, the
+planar dual lattice on float points with a dual-boundary walk over tuple
+dicts and sets, and the generators computed on whole-window coordinate
+arrays.  None of them is used by the package itself.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from nnlab.errors import SpecError, StructureError
+from nnlab.errors import DomainError, SpecError, StructureError, UnsupportedDimensionError
 from nnlab.generators import _dyadic_axis, fill_region, gen_dyadic_i
-from nnlab.lattice import Box, Site, Torus, canonical_edge, dual_of, flat_strides, primal_of
+from nnlab.lattice import Box, Site, Torus, canonical_edge, flat_strides
 from nnlab.nngraph import OutMap, PathTrace, TwoCycle, forward_path
 from nnlab.rng import SeededRng
-from nnlab.topology import Region, RegionClassification
+from nnlab.topology import DualPath, Region, RegionClassification
 
 
 class UnionFind:
@@ -206,6 +207,84 @@ def fill_star_touches_reference(regions: list, tags: dict, window) -> None:
         r.star_touches = sorted(seen)
 
 
+# ---- the planar dual lattice, on float points ---------------------------------------
+#
+# A dual vertex is a pair of half-integers, exactly representable as floats; a
+# dual edge is a canonically ordered pair of dual vertices.
+
+
+def _require_d2(obj_len: int):
+    if obj_len != 2:
+        raise UnsupportedDimensionError("dual lattice operations require d=2")
+
+
+def dual_of(e: tuple, dom=None) -> tuple:
+    """The dual edge bisecting e.  For torus edges pass the domain so the step
+    across the seam resolves to the right unit displacement."""
+    a, b = e
+    _require_d2(len(a))
+    if isinstance(dom, Torus):
+        dv = dom.displacement(a, b)
+        if dv not in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            raise DomainError(f"{e} is not a lattice edge on {dom}")
+        if dv in ((-1, 0), (0, -1)):
+            a, dv = b, (-dv[0], -dv[1])
+    else:
+        dv = (b[0] - a[0], b[1] - a[1])
+        if dv in ((-1, 0), (0, -1)):
+            a, dv = b, (-dv[0], -dv[1])
+        if dv not in ((1, 0), (0, 1)):
+            raise DomainError(f"{e} is not a unit lattice edge")
+    x, y = a
+    if dv == (0, 1):  # vertical edge: dual runs horizontally through (x, y+1/2)
+        u = (x - 0.5, y + 0.5)
+        v = (x + 0.5, y + 0.5)
+    else:  # horizontal edge: dual runs vertically through (x+1/2, y)
+        u = (x + 0.5, y - 0.5)
+        v = (x + 0.5, y + 0.5)
+    if isinstance(dom, Torus):
+        u = _wrap_dual(u, dom)
+        v = _wrap_dual(v, dom)
+    return canonical_edge(u, v)
+
+
+def primal_of(f: tuple, dom=None) -> tuple:
+    """Inverse of dual_of: the unique primal edge bisected by f."""
+    u, v = f
+    _require_d2(len(u))
+    if isinstance(dom, Torus):
+        du = dom.displacement(_dual_corner(u, dom), _dual_corner(v, dom))
+        if du not in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            raise DomainError(f"{f} is not a dual edge on {dom}")
+        if du in ((-1, 0), (0, -1)):
+            u, du = v, (-du[0], -du[1])
+    else:
+        du = (v[0] - u[0], v[1] - u[1])
+        if du in ((-1.0, 0.0), (0.0, -1.0)):
+            u, du = v, (-du[0], -du[1])
+        if du not in ((1.0, 0.0), (0.0, 1.0)):
+            raise DomainError(f"{f} is not a unit dual edge")
+    ux, uy = u
+    if du[0]:  # horizontal dual edge bisects a vertical primal edge
+        a = (int(round(ux + 0.5)), int(round(uy - 0.5)))
+        b = (a[0], a[1] + 1)
+    else:  # vertical dual edge bisects a horizontal primal edge
+        a = (int(round(ux - 0.5)), int(round(uy + 0.5)))
+        b = (a[0] + 1, a[1])
+    if isinstance(dom, Torus):
+        a, b = dom.wrap(a), dom.wrap(b)
+    return canonical_edge(a, b)
+
+
+def _wrap_dual(u: tuple, dom: Torus) -> tuple:
+    # float mod of exact halves by an int side is exact
+    return tuple(c % s for c, s in zip(u, dom.sides))
+
+
+def _dual_corner(u: tuple, dom: Torus) -> Site:
+    return tuple(int(round(c - 0.5)) % s for c, s in zip(u, dom.sides))
+
+
 def boundary_edges_reference(V: Iterable, window) -> list:
     """Dual edges separating closure(V) from its complement, one primal edge
     at a time."""
@@ -255,6 +334,113 @@ def closure_on_left_reference(u, v, clo: set, window) -> bool:
     rel = delta([p + t / 2 for p, t in zip(u, du)], a)  # from the step's midpoint to a
     a_left = du[0] * rel[1] - du[1] * rel[0] > 0
     return (a if a_left else b) in clo
+
+
+def dual_boundary_reference(V: Iterable, window) -> list:
+    """dual_boundary over float dual points: a walk over tuple dicts and sets.
+    Open paths start at the odd-degree vertices in sorted order, circuits at
+    the least unused edge; every walk takes the least unused edge at each
+    vertex.  Circuits then start at their least vertex, and a walk is
+    reversed unless the closure lies on the left of its first step."""
+    clo = closure_reference(V, window)
+    edges = boundary_edges_reference(V, window)
+    adj: dict = {}
+    for e in edges:
+        adj.setdefault(e[0], []).append(e)
+        adj.setdefault(e[1], []).append(e)
+    unused = set(edges)
+
+    def other(e, v):
+        return e[1] if e[0] == v else e[0]
+
+    def walk(start, first):
+        run, cur = [first], other(first, start)
+        unused.discard(first)
+        while cur != start:
+            nxt = [e for e in adj[cur] if e in unused]
+            if not nxt:
+                break
+            run.append(nxt[0])
+            unused.discard(nxt[0])
+            cur = other(nxt[0], cur)
+        return run, cur
+
+    paths = []
+    for v in sorted(v for v, es in adj.items() if len(es) % 2 == 1):
+        for e in adj[v]:
+            if e in unused:
+                paths.append(DualPath(walk(v, e)[0], closed=False))
+    while unused:
+        e0 = min(unused)
+        run, end = walk(e0[0], e0)
+        paths.append(DualPath(run, closed=len(run) > 2 and end == e0[0]))
+    for p in paths:
+        verts = p.vertices()
+        if p.closed:
+            cyc = verts[:-1]
+            k = cyc.index(min(cyc))
+            verts = cyc[k:] + cyc[:k] + [cyc[k]]
+        if not closure_on_left_reference(verts[0], verts[1], clo, window):
+            verts.reverse()  # circuits still start and end at the least vertex
+        p.edges = [canonical_edge(a, b) for a, b in zip(verts, verts[1:])]
+    return paths
+
+
+def star_boundary_path_reference(component_sites: Iterable, window) -> list:
+    """star_boundary_path over dual_boundary_reference, primal_of and a set
+    of closure sites."""
+    clo = closure_reference(component_sites, window)
+    paths = dual_boundary_reference(component_sites, window)
+    if len(paths) != 1:
+        raise StructureError(f"expected a single boundary path, found {len(paths)}")
+    p = paths[0]
+    tor = window if isinstance(window, Torus) else None
+    xs = []
+    for e in p.edges:
+        a, b = primal_of(e, tor)
+        outside = b if a in clo else a
+        if not xs or xs[-1] != outside:
+            xs.append(outside)
+    pairs = list(zip(xs, xs[1:]))
+    if p.closed and len(xs) > 1 and xs[0] != xs[-1]:
+        pairs.append((xs[-1], xs[0]))
+    out = [xs[0]]
+    for x, y in pairs:
+        d = (y[0] - x[0], y[1] - x[1])
+        if tor:
+            d = tuple((t + s // 2) % s - s // 2 for t, s in zip(d, window.sides))
+        if abs(d[0]) + abs(d[1]) == 1:
+            out.append(y)
+            continue
+        if max(abs(d[0]), abs(d[1])) != 1:
+            raise StructureError(f"boundary jump from {x} to {y} is not *-adjacent")
+        cands = [(x[0] + d[0], x[1]), (x[0], x[1] + d[1])]
+        if tor:
+            cands = [window.wrap(c) for c in cands]
+        pick = [c for c in cands if window.contains(c) and c not in clo]
+        if len(pick) != 1:
+            raise StructureError(f"no unique outside common neighbor between {x} and {y}")
+        out.append(pick[0])
+        out.append(y)
+    return out
+
+
+def check_no_interior_circuits_reference(V: Iterable, window, margin: int = 2) -> bool:
+    """A closed path of dual_boundary_reference fails the check when it winds
+    around a torus zero times, or on a box when all of its vertices lie at
+    least margin inside the box corners."""
+    for p in dual_boundary_reference(V, window):
+        if not p.closed:
+            continue
+        v = p.vertices()
+        if isinstance(window, Torus):
+            steps = [[(b - a + s / 2) % s - s / 2 for a, b, s in zip(x, y, window.sides)]
+                     for x, y in zip(v, v[1:])]
+            if all(abs(sum(t)) < 0.25 for t in zip(*steps)):
+                return False
+        elif all(l + margin <= c <= h - margin for x in v for c, l, h in zip(x, window.lo, window.hi)):
+            return False
+    return True
 
 
 def check_degree_two_reference(V: Iterable, window, margin: int = 2) -> bool:

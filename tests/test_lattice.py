@@ -12,13 +12,11 @@ from nnlab.lattice import (
     Box,
     Torus,
     canonical_edge,
-    dual_of,
     neighbors,
-    primal_of,
     star_neighbors,
 )
 
-from oracles import face_depth
+from oracles import dual_of, face_depth, primal_of
 
 
 def test_box_1d_boundary_truncation():

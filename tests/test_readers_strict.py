@@ -205,6 +205,14 @@ def test_huge_domain_flag_exits_2(tmp_path, flag):
     assert "MAX_SITES" in res.stderr
 
 
+@pytest.mark.parametrize("seeds", ["0..100000000000", "5..100005"])
+def test_huge_seed_range_exits_2(tmp_path, seeds):
+    res = _invoke_without_allocating(["census", "--model", "iid", "--torus", "8x8",
+                                      "--seeds", seeds, "--out", str(tmp_path / "c")])
+    _assert_bad_input(res)
+    assert "MAX_SEEDS" in res.stderr
+
+
 @pytest.mark.parametrize("case", sorted(HUGE_SPECS))
 def test_huge_spec_domain_exits_2(tmp_path, case):
     spec = tmp_path / "spec.json"

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nnlab.errors import DomainError, StructureError, UnsupportedDimensionError
@@ -33,12 +33,15 @@ from oracles import (
     check_closure_idempotent_reference,
     check_degree_two_reference,
     check_neighbor_hole_reference,
+    check_no_interior_circuits_reference,
     classify_regions_reference,
     closure_on_left_reference,
     closure_reference,
+    dual_boundary_reference,
     flood_fill_components,
     interior_dual_degrees_reference,
     site_components,
+    star_boundary_path_reference,
 )
 
 
@@ -272,6 +275,50 @@ def test_array_topology_matches_per_site_oracles(window, seed):
             v = p.vertices()
             assert (len(v) < 2 or closure_on_left_reference(v[0], v[1], clo, window)
                     or not closure_on_left_reference(v[-1], v[-2], clo, window))
+
+
+@st.composite
+def dual_windows(draw):
+    if draw(st.booleans()):
+        return Torus((draw(st.integers(3, 8)), draw(st.integers(3, 8))))
+    lo = (draw(st.integers(-5, 0)), draw(st.integers(-5, 0)))
+    return Box(lo, (lo[0] + draw(st.integers(1, 7)), lo[1] + draw(st.integers(1, 7))))
+
+
+def _dual_outputs(V, window, boundary, star_path, no_circuits) -> tuple:
+    try:
+        star = star_path(V, window)
+    except StructureError as err:
+        star = f"StructureError: {err}"
+    paths = [(p.edges, p.closed, p.vertices()) for p in boundary(V, window)]
+    return paths, star, no_circuits(V, window)
+
+
+@settings(max_examples=80, deadline=None)
+@given(window=dual_windows(), seed=st.integers(0, 2**32 - 1))
+# tori on which a walk keeps the closure on its right after a degree-four
+# pinch, so an outside site taken from the side of the step would be wrong
+@example(window=Torus((5, 3)), seed=0)
+@example(window=Torus((4, 4)), seed=14)
+@example(window=Torus((5, 8)), seed=2)
+@example(window=Torus((8, 7)), seed=13)
+def test_dual_walk_matches_tuple_reference(window, seed):
+    """The integer dual walk against the float-tuple walk over dual_of and
+    primal_of: paths, star boundary paths (StructureError texts included),
+    the circuit check, boundary edges and interior degrees, on the components
+    of a random out-map and on a random site set."""
+    lab = undirected_components(random_outmap(window, seed))
+    rng = np.random.default_rng(seed)
+    subsets = [lab.vertices_of(c) for c in range(lab.n_components)]
+    subsets.append([x for x in window.sites() if rng.random() < 0.5])
+    for V in subsets:
+        got = _dual_outputs(V, window, dual_boundary, star_boundary_path,
+                            check_no_interior_circuits)
+        ref = _dual_outputs(V, window, dual_boundary_reference, star_boundary_path_reference,
+                            check_no_interior_circuits_reference)
+        assert got == ref
+        assert boundary_edges(V, window) == boundary_edges_reference(V, window)
+        assert interior_dual_degrees(V, window) == interior_dual_degrees_reference(V, window)
 
 
 def test_classification_counts_every_kind():
