@@ -117,13 +117,16 @@ MAX_SEEDS = 100_000
 
 def _parse_seeds(seeds: str) -> list:
     too_many = f"--seeds {seeds!r} names more than MAX_SEEDS = {MAX_SEEDS} seeds"
-    if ".." in seeds:
-        a, b = (int(t) for t in seeds.split(".."))
-        if b - a >= MAX_SEEDS:
-            raise SpecError(too_many)
-        seed_list = list(range(a, b + 1))
-    else:
-        seed_list = [int(s) for s in seeds.split(",") if s != ""]
+    try:
+        if ".." in seeds:
+            a, b = (int(t) for t in seeds.split(".."))
+            if b - a >= MAX_SEEDS:
+                raise SpecError(too_many)
+            seed_list = list(range(a, b + 1))
+        else:
+            seed_list = [int(s) for s in seeds.split(",") if s != ""]
+    except ValueError:  # a part that is not an integer, or more than one ".."
+        raise SpecError(f"--seeds {seeds!r} is neither A..B nor a comma list of integers") from None
     if not seed_list:
         raise SpecError(f"--seeds {seeds!r} names no seeds; give A..B with A <= B or a comma list")
     if len(seed_list) > MAX_SEEDS:

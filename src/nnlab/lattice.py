@@ -283,15 +283,6 @@ class Torus(_DomainBase):
         y[axis] = (y[axis] + sign) % self.sides[axis]
         return tuple(y)
 
-    def displacement(self, a: Site, b: Site) -> Site:
-        """Minimal per-axis displacement taking a to b (sides >= 3 make it unique
-        for adjacent pairs)."""
-        out = []
-        for ca, cb, s in zip(a, b, self.sides):
-            t = (cb - ca) % s
-            out.append(t if t <= s - t else t - s)
-        return tuple(out)
-
     def __eq__(self, other):
         return isinstance(other, Torus) and self.sides == other.sides
 

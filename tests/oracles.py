@@ -109,6 +109,16 @@ def touches_boundary(sites: Iterable, window) -> bool:
     return any(face_depth(x, window) == 1 for x in sites)
 
 
+def displacement(dom: Torus, a: Site, b: Site) -> Site:
+    """Minimal per-axis displacement taking a to b on a torus (sides >= 3 make
+    it unique for adjacent pairs)."""
+    out = []
+    for ca, cb, s in zip(a, b, dom.sides):
+        t = (cb - ca) % s
+        out.append(t if t <= s - t else t - s)
+    return tuple(out)
+
+
 def lift_winds(start: Site, steps, window: Torus) -> bool:
     """Lift a connected site set to the covering lattice, walking from start;
     ``steps(u)`` lists the (neighbor, minimal displacement) pairs to follow
@@ -224,7 +234,7 @@ def dual_of(e: tuple, dom=None) -> tuple:
     a, b = e
     _require_d2(len(a))
     if isinstance(dom, Torus):
-        dv = dom.displacement(a, b)
+        dv = displacement(dom, a, b)
         if dv not in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             raise DomainError(f"{e} is not a lattice edge on {dom}")
         if dv in ((-1, 0), (0, -1)):
@@ -253,7 +263,7 @@ def primal_of(f: tuple, dom=None) -> tuple:
     u, v = f
     _require_d2(len(u))
     if isinstance(dom, Torus):
-        du = dom.displacement(_dual_corner(u, dom), _dual_corner(v, dom))
+        du = displacement(dom, _dual_corner(u, dom), _dual_corner(v, dom))
         if du not in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             raise DomainError(f"{f} is not a dual edge on {dom}")
         if du in ((-1, 0), (0, -1)):
@@ -456,6 +466,13 @@ def check_closure_idempotent_reference(V: Iterable, window) -> bool:
     return closure_reference(c1, window) == c1
 
 
+def check_complement_unbounded_reference(V: Iterable, window) -> bool:
+    """Complement components of the closure are unbounded in the proxy sense."""
+    clo = closure_reference(V, window)
+    comps = site_components([x for x in window.sites() if x not in clo], window)
+    return all(_unbounded(comp, window) for comp in comps)
+
+
 def check_neighbor_hole_reference(V: Iterable, window) -> bool:
     """Sites of the closure with a neighbor outside it must belong to V."""
     vs = set(V)
@@ -473,8 +490,8 @@ def outmap_wrapping_components(g: OutMap) -> set:
     dom = g.dom
     adj: dict = {}
     for x, y in g.items():
-        adj.setdefault(x, []).append((y, dom.displacement(x, y)))
-        adj.setdefault(y, []).append((x, dom.displacement(y, x)))
+        adj.setdefault(x, []).append((y, displacement(dom, x, y)))
+        adj.setdefault(y, []).append((x, displacement(dom, y, x)))
     seen: set = set()
     out = set()
     for x in dom.sites():

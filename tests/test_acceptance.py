@@ -2,7 +2,8 @@
 
 Each test writes a PASS/FAIL line to tests/_artifacts/acceptance_log.txt and
 prints it, so a bare pytest run leaves a human-readable scoreboard behind.  The
-first line of a session replaces what an earlier run left there.
+first line of a session replaces what an earlier run left there.  Each line
+ends with the criterion's wall seconds, fixtures included.
 """
 
 from __future__ import annotations
@@ -65,10 +66,21 @@ from conftest import vertex_priority_digraph
 
 ARTIFACTS = Path(__file__).parent / "_artifacts"
 _log_started = False
+_criterion_started = 0.0
+
+
+@pytest.fixture(autouse=True)
+def _criterion_clock():
+    """Start the criterion's wall clock; autouse, so before its other
+    function-scoped fixtures are built."""
+    global _criterion_started
+    _criterion_started = time.perf_counter()
 
 
 def _record(line: str):
+    """Write the criterion's scoreboard line, with its wall seconds so far."""
     global _log_started
+    line += f" [{time.perf_counter() - _criterion_started:.1f} s]"
     ARTIFACTS.mkdir(exist_ok=True)
     with (ARTIFACTS / "acceptance_log.txt").open("a" if _log_started else "w") as fh:
         fh.write(line + "\n")
@@ -301,7 +313,7 @@ def test_criterion_5_paper_example_values():
 # ---- criterion 6: component censuses ----------------------------------------------------
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture  # function-scoped, so criterion 6's seconds include it
 def census_results():
     seeds = range(50)
     res = {}

@@ -30,6 +30,7 @@ from oracles import (
     check_monotone_decreasing,
     check_targets_reference,
     directed_cycles_reference,
+    displacement,
     infimum_supremum_along,
     outmap_wrapping_components,
     r_descendant,
@@ -138,7 +139,7 @@ def test_backward_sizes_match_bfs():
 def _cycle_winds(sites: list, dom) -> bool:
     if not isinstance(dom, Torus):
         return False
-    steps = [dom.displacement(a, b) for a, b in zip(sites, sites[1:] + sites[:1])]
+    steps = [displacement(dom, a, b) for a, b in zip(sites, sites[1:] + sites[:1])]
     return any(map(sum, zip(*steps)))
 
 

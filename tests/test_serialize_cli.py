@@ -178,6 +178,16 @@ def test_cli_census_descending_seed_range(tmp_path):
     _census_no_seeds(tmp_path, "3..1")
 
 
+@pytest.mark.parametrize("seeds", ["1..2..3", "a..3", "1,x"])
+def test_cli_census_malformed_seeds(tmp_path, seeds):
+    out = tmp_path / "c"
+    res = CliRunner().invoke(main, ["census", "--model", "zerner_merkl", "--torus", "8x8",
+                                    "--seeds", seeds, "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith("error: --seeds ") and res.stderr.count("\n") == 1, res.stderr
+    assert not out.exists()
+
+
 def test_cli_generate_level_beyond_int64(tmp_path):
     res = CliRunner().invoke(main, ["generate", "--model", "dyadic", "--box", "8x8",
                                     "--level", "70", "--seed", "1", "--out", str(tmp_path / "r")])

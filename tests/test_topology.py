@@ -31,6 +31,7 @@ from conftest import random_outmap
 from oracles import (
     boundary_edges_reference,
     check_closure_idempotent_reference,
+    check_complement_unbounded_reference,
     check_degree_two_reference,
     check_neighbor_hole_reference,
     check_no_interior_circuits_reference,
@@ -99,6 +100,57 @@ def test_closure_fast_matches_reference_torus(bits):
     t = Torus((6, 6))
     sites = {(i % 6, i // 6) for i in range(36) if (bits >> i) & 1}
     assert closure(sites, t) == closure_reference(sites, t)
+
+
+@st.composite
+def sets_in_sub_rectangles(draw):
+    """A box of up to 12 x 12 sites (lo may be negative) or a torus of up to
+    10 x 10, and a random site set inside a random sub-rectangle of it, which
+    on a torus may straddle a seam."""
+    if draw(st.booleans()):
+        x0, y0 = draw(st.integers(-6, 6)), draw(st.integers(-6, 6))
+        h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        window = Box((x0, y0), (x0 + h - 1, y0 + w - 1))
+    else:
+        window = Torus((draw(st.integers(3, 10)), draw(st.integers(3, 10))))
+    shape = np.array(window.shape)
+    start = np.array([draw(st.integers(0, s - 1)) for s in shape])
+    size = np.array([draw(st.integers(1, s)) for s in shape])
+    if isinstance(window, Box):
+        size = np.minimum(size, shape - start)
+    density = draw(st.sampled_from([0.3, 0.6, 0.85, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rel = np.indices(size).reshape(2, -1).T
+    rel = rel[rng.random(len(rel)) < density]
+    return window, window.index_sites((rel + start) % shape @ [shape[1], 1])
+
+
+_RING = [(x, y) for x in range(3) for y in range(3) if (x, y) != (1, 1)]
+
+
+def _shifted(sites, dx, dy, window=None):
+    out = [(x + dx, y + dy) for x, y in sites]
+    return [window.wrap(s) for s in out] if isinstance(window, Torus) else out
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=sets_in_sub_rectangles())
+@example(case=(Box((-5, -4), (6, 7)), []))
+@example(case=(Torus((7, 5)), []))
+@example(case=(Box((-5, -4), (6, 7)), [(0, 0)]))
+@example(case=(Torus((4, 6)), [(3, 5)]))
+@example(case=(Box((-5, -4), (6, 7)), _shifted(_RING, -5, 1)))  # on a face
+@example(case=(Box((-5, -4), (6, 7)), _shifted(_RING, 4, 5)))  # in a corner
+@example(case=(Torus((6, 6)), _shifted(_RING, 5, 5, Torus((6, 6)))))  # across both seams
+@example(case=(Torus((6, 5)), [(x, y) for x in range(1, 6) for y in range(4)
+                               if not (2 <= x <= 4 and 1 <= y <= 2)]))  # one free residue per axis
+@example(case=(Torus((6, 7)), [(2, y) for y in range(7)] + _shifted(_RING, 3, 2)))  # a whole row
+def test_local_closure_matches_whole_window_oracles(case):
+    window, V = case
+    assert closure(V, window) == closure_reference(V, window)
+    assert check_closure_idempotent(V, window) == check_closure_idempotent_reference(V, window)
+    assert check_complement_unbounded(V, window) == check_complement_unbounded_reference(V, window)
+    assert check_neighbor_hole(V, window) == check_neighbor_hole_reference(V, window)
 
 
 def test_dual_boundary_single_site():
