@@ -72,8 +72,7 @@ class _DomainBase:
     def index_sites(self, idx) -> list:
         """Sites of an array of flat indices, as tuples in the same order."""
         rel = np.unravel_index(np.asarray(idx, dtype=np.int64), self.shape)
-        coords = np.stack(rel, axis=-1) + np.asarray(self._lo, dtype=np.int64)
-        return list(map(tuple, coords.tolist()))
+        return list(zip(*((r + lo).tolist() for r, lo in zip(rel, self._lo))))
 
     def index_coords(self) -> np.ndarray:
         """(n_sites, d) int64 array of coordinates in flat-index order."""

@@ -246,7 +246,10 @@ def undirected_components(g: OutMap) -> ComponentLabeling:
     """Label components of {{x, out(x)}}; isolated sites become singletons."""
     dom = g.dom
     src, dst = g.edge_arrays()
-    labels = label_components(dom.n_sites, src, dst)
+    if isinstance(dom, Torus):
+        labels, wrapping = torus_winding(dom, src, dst)
+    else:
+        labels = label_components(dom.n_sites, src, dst)
     ncomp = int(labels.max()) + 1
     sizes = np.bincount(labels, minlength=ncomp)
 
@@ -258,8 +261,6 @@ def undirected_components(g: OutMap) -> ComponentLabeling:
         for a in range(dom.d):
             spanning[np.intersect1d(grid.take(0, axis=a), grid.take(-1, axis=a))] = True
         wrapping = np.zeros(ncomp, dtype=bool)
-    else:
-        wrapping = torus_winding(dom, src, dst, labels)
     return ComponentLabeling(dom, g.out_index, labels, sizes, touching, spanning, wrapping)
 
 
@@ -277,14 +278,14 @@ def label_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return connected_components(mat, directed=False)[1].astype(np.int64)
 
 
-def torus_winding(dom: Torus, src: np.ndarray, dst: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per label: whether the component's edges {src[i], dst[i]}, read as
-    steps of minimal displacement, wind around the torus.
+def torus_winding(dom: Torus, src: np.ndarray, dst: np.ndarray) -> tuple:
+    """Labels of the components of the edges {src[i], dst[i]} on the torus,
+    numbered by least site as ``label_components`` numbers them, and per
+    label whether the component, its edges read as steps of minimal
+    displacement, winds around the torus.
 
-    Cut every edge that crosses a seam, label the rigid pieces that remain,
-    then chase the seam edges between pieces with their lift offsets (a
-    multiple of the side per axis); a piece reached at two different offsets
-    means its component winds."""
+    One labeling with every seam-crossing edge cut; ``merge_seams`` then
+    joins the pieces across the seam edges and finds the winding."""
     seam = np.zeros(len(src), dtype=bool)
     units = []
     for stride, side in zip(flat_strides(dom.shape), dom.sides):
@@ -292,37 +293,51 @@ def torus_winding(dom: Torus, src: np.ndarray, dst: np.ndarray, labels: np.ndarr
         units.append(-np.round(delta / side).astype(np.int64))
         seam |= units[-1] != 0
     cut = label_components(dom.n_sites, src[~seam], dst[~seam])
+    return merge_seams(cut, src[seam], dst[seam], [u[seam] for u in units])
 
+
+def merge_seams(cut: np.ndarray, s: np.ndarray, t: np.ndarray, units) -> tuple:
+    """Join the pieces of a cut labeling across seam edges {s[i], t[i]}: the
+    step from s[i] to t[i] crosses units[a][i] sides along axis a.  Returns
+    the joined labels, still numbered by least site, and per joined label
+    whether it winds.
+
+    The chase walks the seam edges between pieces with their lift offsets; a
+    piece reached at two different offsets means its component winds.  It
+    starts from the pieces in increasing order, so each joined component is
+    rooted at its least piece, which holds its least site."""
+    if not len(s):
+        return cut, np.zeros(int(cut.max()) + 1, dtype=bool)
     # Lift offsets, in sides per axis, packed into one integer in base 2k+1
     # for k seam edges: a tree path plus one more seam edge uses at most k of
     # them, so every offset compared stays in [-k, k] per axis.
-    s, t = src[seam], dst[seam]
     base = 2 * len(s) + 1
-    seam_units = zip(*(u[seam].tolist() for u in units))
-    codes = [sum(u * base**a for a, u in enumerate(us)) for us in seam_units]
+    codes = [sum(u * base**a for a, u in enumerate(us)) for us in zip(*(u.tolist() for u in units))]
     adj: dict = {}
-    piece_label: dict = {}
-    for cu, cv, lab, off in zip(cut[s].tolist(), cut[t].tolist(), labels[s].tolist(), codes):
+    for cu, cv, off in zip(cut[s].tolist(), cut[t].tolist(), codes):
         adj.setdefault(cu, []).append((cv, off))
         adj.setdefault(cv, []).append((cu, -off))
-        piece_label[cu] = piece_label[cv] = lab
 
-    winds = np.zeros(int(labels.max()) + 1, dtype=bool)
+    n_pieces = int(cut.max()) + 1
+    root = np.arange(n_pieces)
+    winds = np.zeros(n_pieces, dtype=bool)
     pos: dict = {}
-    for start in adj:
+    for start in sorted(adj):
         if start in pos:
             continue
         pos[start] = 0
         stack = [start]
         while stack:
             u = stack.pop()
+            root[u] = start
             for v, off in adj[u]:
                 if v not in pos:
                     pos[v] = pos[u] + off
                     stack.append(v)
                 elif pos[v] != pos[u] + off:
-                    winds[piece_label[start]] = True
-    return winds
+                    winds[start] = True
+    roots = root == np.arange(n_pieces)
+    return (np.cumsum(roots) - 1)[root][cut], winds[roots]
 
 
 def first_stop(out: np.ndarray, stop: np.ndarray) -> tuple:

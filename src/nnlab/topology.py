@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import SpecError, StructureError, UnsupportedDimensionError
 from .lattice import Box, Torus
-from .nngraph import ComponentLabeling, label_components, torus_winding
+from .nngraph import ComponentLabeling, label_components, merge_seams
 
 
 def _check_window(window):
@@ -31,30 +31,32 @@ def _check_window(window):
 # ---- site components ------------------------------------------------------------
 
 
-class SubsetStructure:
-    """Vectorized site-component labeling of a vertex subset, with the
-    finite-volume unboundedness proxy per component: touching a box face, or
-    winding around a torus."""
-
-    def __init__(self, mask: np.ndarray, window):
-        self.mask = mask
-        src, dst = [], []
-        for a in range(window.d):
-            fwd = window.neighbor_index(a, +1)
-            ok = (fwd >= 0) & mask & mask[fwd]
-            src.append(np.flatnonzero(ok))
-            dst.append(fwd[ok])
-        src, dst = np.concatenate(src), np.concatenate(dst)
-        self.labels = label_components(window.n_sites, src, dst)
-        if isinstance(window, Box):  # touching a face
-            self.unbounded = np.zeros(int(self.labels.max()) + 1, dtype=bool)
-            self.unbounded[self.labels[(window.face_depths() == 1) & mask]] = True
-        else:
-            self.unbounded = torus_winding(window, src, dst, self.labels)
-
-    def fill_mask(self) -> np.ndarray:
-        """Member sites lying in proxy-finite components."""
-        return self.mask & ~self.unbounded[self.labels]
+def _free_pieces(free: np.ndarray, wraps) -> tuple:
+    """Site-components of the True sites of a grid, and per component whether
+    it is unbounded in the proxy sense: touching a face of the grid on an axis
+    that does not wrap, or winding around one that does (through the seam
+    pairs from its last row to its first).  Labels cover every grid site, in
+    flat order, numbered by least site; False sites are singletons."""
+    idx = np.arange(free.size).reshape(free.shape)
+    src, dst, units = [], [], []
+    for a, wrap in enumerate(wraps):
+        f, i = free.swapaxes(0, a), idx.swapaxes(0, a)
+        # pairs of rows along a, and on a wrapping axis the seam, last row to first
+        for lo, hi, crossed in [(slice(None, -1), slice(1, None), 0), (-1, 0, 1)][: 1 + wrap]:
+            ok = f[lo] & f[hi]
+            src.append(i[lo][ok])
+            dst.append(i[hi][ok])
+            units.append(np.zeros((free.ndim, ok.sum()), dtype=np.int64))
+            units[-1][a] = crossed
+    src, dst, units = np.concatenate(src), np.concatenate(dst), np.concatenate(units, axis=1)
+    seam = units.any(axis=0)
+    cut = label_components(free.size, src[~seam], dst[~seam])
+    labels, unbounded = merge_seams(cut, src[seam], dst[seam], units[:, seam])
+    for a, wrap in enumerate(wraps):
+        if not wrap:
+            faces = labels.reshape(free.shape).swapaxes(0, a)[[0, -1]]
+            unbounded[faces[free.swapaxes(0, a)[[0, -1]]]] = True
+    return labels, unbounded
 
 
 def _sites_mask(V: Iterable, window) -> np.ndarray:
@@ -68,41 +70,42 @@ def _sites_mask(V: Iterable, window) -> np.ndarray:
 
 def _closure_mask(mask: np.ndarray, window) -> np.ndarray:
     """closure() on masks, labeling the complement only inside a small box B
-    around V: per axis, V's projected run grown by one row on each side.
+    around V, cropped from the window as a plain grid: per axis, V's projected
+    run grown by one row on each side.
 
     On a box window B is bbox(V) grown by one and clipped to the window.  A
     window site outside bbox(V) lies in a V-free slab (say every site with
     x_a < min V_a), a sub-box that reaches a window face, so the site is
     unbounded; B's faces are in such slabs or on window faces.
 
-    On a torus, V's run on each axis is the complement of the largest gap in
-    its projection, and the rows just outside it are V-free lines x_a = c_a.
-    Those lines cross and wind both ways, so any piece touching them is
-    unbounded; cut along them, the torus is a plain box with no wrap.  When
-    the gap is one residue, B has side + 1 rows, and the first and last are
-    the same V-free line.
+    On a torus, V's run on an axis is the complement of the largest gap in
+    its projection, and the rows just outside it are V-free lines x_a = c_a,
+    which wind around the other axis, so any piece touching them is unbounded.
+    When the gap is one residue, B has side + 1 rows, and the first and last
+    are the same V-free line.  On an axis that V's projection covers, B is the
+    whole axis, and a piece is unbounded when it winds through the seam.
 
-    Either way a piece of B minus V is a hole exactly when it does not touch
-    B's faces.  Only when V's projection covers a whole torus axis is the
-    complement labeled on the whole window, with winding."""
+    So a piece of B minus V is a hole exactly when it touches no face of B
+    on an axis that does not wrap, and winds around none that does."""
     if not mask.any():
         return mask.copy()
-    rows = []
+    rows, wraps = [], []
     for p, side in zip(np.unravel_index(np.flatnonzero(mask), window.shape), window.shape):
         if isinstance(window, Box):
             rows.append(np.arange(max(p.min() - 1, 0), min(p.max() + 2, side)))
+            wraps.append(False)
             continue
         r = np.flatnonzero(np.bincount(p, minlength=side))  # V's residues, sorted
-        if len(r) == side:
-            return mask | SubsetStructure(~mask, window).fill_mask()
         gap = np.diff(r, append=r[0] + side)  # from each residue to the next, cyclically
         k = int(np.argmax(gap))
-        rows.append((r[(k + 1) % len(r)] - 1 + np.arange(side - gap[k] + 3)) % side)
+        wraps.append(len(r) == side)
+        rows.append(np.arange(side) if wraps[-1] else
+                    (r[(k + 1) % len(r)] - 1 + np.arange(side - gap[k] + 3)) % side)
     grid = np.ix_(*rows)
-    sub = mask.reshape(window.shape)[grid]
-    holes = SubsetStructure(~sub.reshape(-1), Box((0, 0), np.subtract(sub.shape, 1))).fill_mask()
+    free = ~mask.reshape(window.shape)[grid]
+    labels, unbounded = _free_pieces(free, wraps)
     out = mask.copy()
-    out.reshape(window.shape)[grid] |= holes.reshape(sub.shape)
+    out.reshape(window.shape)[grid] |= free & ~unbounded[labels].reshape(free.shape)
     return out
 
 
@@ -251,13 +254,20 @@ def dual_boundary(V: Iterable, window) -> list:
 
 
 def _plaquette_degrees(clo: np.ndarray, window) -> tuple:
-    """The dual points i + (1/2, 1/2) of the plaquettes inside the window, as
-    (m, 2) floats, where i is the lower-left corner, and how many of each
-    one's four sides cross the boundary of clo: the point's degree in B."""
+    """The plaquettes inside the window with a corner in clo, in sorted order
+    of their lower-left corner i: their dual points i + (1/2, 1/2) as (m, 2)
+    floats, and how many of each one's four sides cross the boundary of clo,
+    the point's degree in B.  A plaquette with no corner in clo has degree 0."""
     f0, f1 = window.neighbor_index(0, +1), window.neighbor_index(1, +1)
-    c0, c1 = _crossed(clo, window)
-    ll = np.flatnonzero((f0 >= 0) & (f1 >= 0))
-    deg = c0[ll].astype(np.int64) + c0[f1[ll]] + c1[ll] + c1[f0[ll]]
+    near = clo.copy()  # grown to the lower-left corners of those plaquettes
+    for a in range(2):
+        j = window.neighbor_index(a, -1)[np.flatnonzero(near)]
+        near[j[j >= 0]] = True
+    ll = np.flatnonzero(near)
+    ll = ll[(f0[ll] >= 0) & (f1[ll] >= 0)]
+    c, c0, c1 = clo[ll], clo[f0[ll]], clo[f1[ll]]
+    c01 = clo[f0[f1[ll]]]
+    deg = (c != c0).astype(np.int64) + (c1 != c01) + (c != c1) + (c0 != c01)
     return np.stack(np.unravel_index(ll, window.shape), axis=-1) + np.add(window._lo, 0.5), deg
 
 
@@ -373,19 +383,19 @@ def classify_regions(labeling: ComponentLabeling, window) -> RegionClassificatio
     a_rid = np.full(labeling.n_components, -1, dtype=np.int64)
     a_rid[a_ids] = np.arange(len(a_ids))
     rid = a_rid[labeling.labels]
-    st = SubsetStructure(rid < 0, window)
-    piece, a_nbr = _neighbor_pairs(np.where(rid < 0, st.labels, -1), rid, _AXIS_STEPS, window)
+    labels, unbounded = _free_pieces((rid < 0).reshape(window.shape), (window.wraps,) * 2)
+    piece, a_nbr = _neighbor_pairs(np.where(rid < 0, labels, -1), rid, _AXIS_STEPS, window)
     piece, first, count = np.unique(piece, return_index=True, return_counts=True)
-    sole = (count == 1) & ~st.unbounded[piece]
+    sole = (count == 1) & ~unbounded[piece]
     piece_rid = np.full(window.n_sites, -1, dtype=np.int64)
     piece_rid[piece[sole]] = a_nbr[first[sole]]
-    rid = np.where(rid < 0, piece_rid[st.labels], rid)
+    rid = np.where(rid < 0, piece_rid[labels], rid)
 
     left = np.flatnonzero(rid < 0)
-    piece = np.unique(st.labels[left])  # labels follow each piece's least site
+    piece = np.unique(labels[left])  # labels follow each piece's least site
     piece_rid[piece] = len(a_ids) + np.arange(len(piece))
-    rid[left] = piece_rid[st.labels[left]]
-    kinds = ["a"] * len(a_ids) + ["b" if u else "c" for u in st.unbounded[piece]]
+    rid[left] = piece_rid[labels[left]]
+    kinds = ["a"] * len(a_ids) + ["b" if u else "c" for u in unbounded[piece]]
 
     sites = window.index_sites(np.argsort(rid, kind="stable"))
     ends = np.cumsum(np.bincount(rid)).tolist()
@@ -434,11 +444,11 @@ def check_neighbor_hole(V: Iterable, window) -> bool:
     """Sites of the closure with a neighbor outside it must belong to V."""
     vs = _sites_mask(V, window)
     clo = _closure_mask(vs, window)
-    filled = clo & ~vs
+    filled = np.flatnonzero(clo & ~vs)
     for a in range(2):
         for sgn in (+1, -1):
-            nbr = window.neighbor_index(a, sgn)
-            if np.any(filled & (nbr >= 0) & ~clo[nbr]):
+            nbr = window.neighbor_index(a, sgn)[filled]
+            if np.any((nbr >= 0) & ~clo[nbr]):
                 return False
     return True
 

@@ -329,6 +329,17 @@ def interior_dual_degrees_reference(V: Iterable, window) -> dict:
     return out
 
 
+def plaquette_degrees_reference(clo: np.ndarray, window) -> tuple:
+    """Every plaquette inside the window, by lower-left corner i in flat
+    order: its dual point i + (1/2, 1/2) as (m, 2) floats, and how many of
+    its four sides have exactly one end in the mask clo."""
+    f0, f1 = window.neighbor_index(0, +1), window.neighbor_index(1, +1)
+    c0, c1 = ((f >= 0) & (clo != clo[f]) for f in (f0, f1))
+    ll = np.flatnonzero((f0 >= 0) & (f1 >= 0))
+    deg = c0[ll].astype(np.int64) + c0[f1[ll]] + c1[ll] + c1[f0[ll]]
+    return np.stack(np.unravel_index(ll, window.shape), axis=-1) + np.add(window._lo, 0.5), deg
+
+
 def closure_on_left_reference(u, v, clo: set, window) -> bool:
     """Whether the end of the primal edge bisected by the dual step u -> v
     that lies on the left of the step is in clo, by the sign of a cross

@@ -16,6 +16,8 @@ from nnlab.nngraph import (
     backward_sizes,
     build_nn_directed,
     forward_path,
+    label_components,
+    torus_winding,
     two_cycle_mask,
     undirected_components,
     verify_all_components,
@@ -29,9 +31,11 @@ from oracles import (
     backward_set,
     check_monotone_decreasing,
     check_targets_reference,
+    component_wraps,
     directed_cycles_reference,
     displacement,
     infimum_supremum_along,
+    lift_winds,
     outmap_wrapping_components,
     r_descendant,
     verify_component_structure,
@@ -165,6 +169,52 @@ def test_peel_matches_cycle_walk_and_backward_sets(seed, dom):
     assert rep.wrapping_cycles == [c for c in long if _cycle_winds(c, dom)]
     assert rep.long_cycles == [c for c in long if not _cycle_winds(c, dom)]
     assert lab.backward.tolist() == [len(backward_set(x, g)) for x in dom.sites()]
+
+
+@st.composite
+def torus_edge_sets(draw):
+    """A torus with sides 3..7 and some of its lattice edges as (src, dst)
+    arrays, each edge pointing either way: every edge inside a random site
+    set, only the seam-crossing edges, none, or each edge by a coin toss.
+    The kind is returned with them."""
+    dom = Torus((draw(st.integers(3, 7)), draw(st.integers(3, 7))))
+    kind = draw(st.sampled_from(["induced", "seam", "empty", "random"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    i = np.arange(dom.n_sites)
+    src = np.concatenate([i, i])
+    dst = np.concatenate([dom.neighbor_index(0, +1), dom.neighbor_index(1, +1)])
+    x, y = np.unravel_index(i, dom.shape)
+    if kind == "induced":
+        member = rng.random(dom.n_sites) < rng.choice([0.4, 0.7, 1.0])
+        keep = member[src] & member[dst]
+    elif kind == "seam":
+        keep = np.concatenate([x == dom.sides[0] - 1, y == dom.sides[1] - 1])
+        keep &= rng.random(len(keep)) < rng.choice([0.5, 1.0])
+    else:
+        keep = rng.random(len(src)) < (0.0 if kind == "empty" else rng.random())
+    src, dst = src[keep], dst[keep]
+    flip = rng.random(len(src)) < 0.5
+    return dom, kind, np.where(flip, dst, src), np.where(flip, src, dst)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=torus_edge_sets())
+def test_torus_winding_matches_labels_and_lift_oracle(case):
+    """One cut labeling with the seams merged gives label_components' labels,
+    array for array, and per label the winding of a lift along the edges."""
+    dom, kind, src, dst = case
+    labels, winds = torus_winding(dom, src, dst)
+    assert np.array_equal(labels, label_components(dom.n_sites, src, dst))
+    assert len(winds) == labels.max() + 1
+    adj: dict = {}
+    for a, b in zip(dom.index_sites(src), dom.index_sites(dst)):
+        adj.setdefault(a, []).append((b, displacement(dom, a, b)))
+        adj.setdefault(b, []).append((a, displacement(dom, b, a)))
+    for c in range(len(winds)):
+        comp = dom.index_sites(np.flatnonzero(labels == c))
+        assert winds[c] == lift_winds(comp[0], lambda u: adj.get(u, []), dom)
+        if kind == "induced":
+            assert winds[c] == component_wraps(comp, dom)
 
 
 @st.composite

@@ -19,6 +19,8 @@ from nnlab.topology import (
     check_degree_two,
     check_neighbor_hole,
     check_no_interior_circuits,
+    _closure_mask,
+    _plaquette_degrees,
     classify_regions,
     closure,
     dual_boundary,
@@ -41,6 +43,7 @@ from oracles import (
     dual_boundary_reference,
     flood_fill_components,
     interior_dual_degrees_reference,
+    plaquette_degrees_reference,
     site_components,
     star_boundary_path_reference,
 )
@@ -145,12 +148,63 @@ def _shifted(sites, dx, dy, window=None):
 @example(case=(Torus((6, 5)), [(x, y) for x in range(1, 6) for y in range(4)
                                if not (2 <= x <= 4 and 1 <= y <= 2)]))  # one free residue per axis
 @example(case=(Torus((6, 7)), [(2, y) for y in range(7)] + _shifted(_RING, 3, 2)))  # a whole row
+# V covers axis 0 only: B wraps on axis 0 and has faces on axis 1
+@example(case=(Torus((7, 6)), [(x, 0) for x in range(7)] + _shifted(_RING, 2, 2)))
+# V covers both axes and winds, with a hole that does not wind
+@example(case=(Torus((6, 6)), [(0, y) for y in range(6)] + [(1, 0), (5, 0)] + _shifted(_RING, 2, 2)))
+# V covers both axes as a staircase that does not wind
+@example(case=(Torus((5, 5)), [(i, i) for i in range(5)] + [(i + 1, i) for i in range(4)]))
 def test_local_closure_matches_whole_window_oracles(case):
     window, V = case
-    assert closure(V, window) == closure_reference(V, window)
+    clo = closure(V, window)
+    assert clo == closure_reference(V, window)
     assert check_closure_idempotent(V, window) == check_closure_idempotent_reference(V, window)
     assert check_complement_unbounded(V, window) == check_complement_unbounded_reference(V, window)
     assert check_neighbor_hole(V, window) == check_neighbor_hole_reference(V, window)
+    for margin in (0, 2):
+        assert check_degree_two(V, window, margin) == check_degree_two_reference(V, window, margin)
+    assert interior_dual_degrees(V, window) == interior_dual_degrees_reference(V, window)
+    # the plaquettes read are those with a corner in the closure, in flat
+    # order; every plaquette left out has degree 0
+    mask = np.zeros(window.n_sites, dtype=bool)
+    mask[window.coords_index(sorted(clo))] = True
+    points, deg = _plaquette_degrees(mask, window)
+    got = dict(zip(map(tuple, points.tolist()), deg.tolist()))
+    points, deg = plaquette_degrees_reference(mask, window)
+    want = dict(zip(map(tuple, points.tolist()), deg.tolist()))
+    assert list(got.items()) == [(p, k) for p, k in want.items() if p in got]
+    assert not any(k for p, k in want.items() if p not in got)
+
+
+def test_closure_labels_once_on_its_cut_grid(monkeypatch):
+    """A closure labels its cropped grid once: on a box, for a local V,
+    without building the window's neighbor tables; on a torus, once for a V
+    whose projection covers both axes."""
+    import nnlab
+
+    calls = {"label_components": 0}
+    fn = nnlab.nngraph.label_components
+
+    def counted(*args, **kwargs):
+        calls["label_components"] += 1
+        return fn(*args, **kwargs)
+
+    for mod in (nnlab.nngraph, nnlab.topology):
+        monkeypatch.setattr(mod, "label_components", counted)
+    box = Box((0, 0), (127, 127))
+    mask = np.zeros(box.n_sites, dtype=bool)
+    mask[box.coords_index(_shifted(_RING, 60, 70))] = True
+    cache = dict(box._nbr_cache)
+    clo = _closure_mask(mask, box)
+    assert calls["label_components"] == 1
+    assert box._nbr_cache == cache
+    assert clo.sum() == 9
+
+    calls["label_components"] = 0
+    t = Torus((6, 6))
+    V = [(0, y) for y in range(6)] + [(1, 0), (5, 0)] + _shifted(_RING, 2, 2)
+    assert closure(V, t) == set(V) | {(3, 3)}
+    assert calls["label_components"] == 1
 
 
 def test_dual_boundary_single_site():
