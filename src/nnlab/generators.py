@@ -133,7 +133,7 @@ def _dyadic_axis(X: np.ndarray) -> np.ndarray:
     return d - 1 - np.argmax(is_min[:, ::-1], axis=1)
 
 
-def gen_dyadic_window(n: int, Z: Site, window: Box, rng: Optional[SeededRng] = None) -> OutMap:
+def gen_dyadic_window(n: int, Z: Site, window: Box) -> OutMap:
     """The dyadic rule on window + Z, expressed in window coordinates.
 
     Every window site must land in the orthant minus the origin after the

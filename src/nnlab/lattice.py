@@ -43,7 +43,7 @@ def flat_strides(shape) -> np.ndarray:
 
 
 class _DomainBase:
-    """Shared machinery: flat indexing and vectorized neighbor tables."""
+    """Shared machinery: flat indexing, vectorized neighbor tables and lattice steps."""
 
     shape: tuple
     d: int
@@ -183,19 +183,44 @@ class _DomainBase:
         each edge {a[k], b[k]}, in either endpoint order."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        base = np.full(len(a), -1, dtype=np.int64)
-        axis = np.full(len(a), -1, dtype=np.int64)
-        for ax in range(self.d):
-            fwd = self.neighbor_index(ax, +1)
-            for lo, hi in ((a, b), (b, a)):
-                m = fwd[lo] == hi
-                base[m] = lo[m]
-                axis[m] = ax
-        if np.any(axis < 0):
-            k = int(np.argmax(axis < 0))
+        code = self.step_codes(a, b)
+        if not code.all():
+            k = int(np.argmin(code != 0))
             e = (self.index_site(int(a[k])), self.index_site(int(b[k])))
             raise DomainError(f"{e} is not an edge of {self}")
-        return base, axis
+        return np.where(code > 0, a, b), np.abs(code).astype(np.int64) - 1
+
+    # ---- lattice steps ---------------------------------------------------------
+
+    def step_codes(self, src, dst) -> np.ndarray:
+        """Decode each pair of flat site indices src[k] -> dst[k] as a lattice
+        step: int8 code a + 1 for a step along +e_a, -(a + 1) along -e_a, and
+        0 when dst is not a neighbor of src.
+
+        Index arithmetic only: a step along a keeps both ends in one block of
+        side * stride consecutive indices, and moves by +-stride, or on a
+        torus by -+(side - 1) * stride across the seam."""
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        diff = dst - src
+        code = np.zeros(len(src), dtype=np.int8)
+        block = self.n_sites
+        for a, (side, stride) in enumerate(zip(self.shape, flat_strides(self.shape).tolist())):
+            same = src // block == dst // block
+            fwd, bwd = diff == stride, diff == -stride
+            if self.wraps:
+                fwd |= diff == -(side - 1) * stride
+                bwd |= diff == (side - 1) * stride
+            code += np.int8(a + 1) * ((fwd & same).view(np.int8) - (bwd & same).view(np.int8))
+            block = stride
+        return code
+
+    def seam_codes(self, src, dst) -> np.ndarray:
+        """step_codes of the steps src[k] -> dst[k] that wrap a torus seam, 0 for
+        every other pair: a step wraps exactly when its sign and dst - src
+        disagree."""
+        code = self.step_codes(src, dst)
+        return np.where((code > 0) != (np.asarray(dst) > np.asarray(src)), code, 0)
 
 
 class Box(_DomainBase):

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import DomainError, SpecError, StructureError
-from .lattice import Box, Site, Torus, canonical_edge, flat_strides
+from .lattice import Box, Site, Torus, canonical_edge
 
 
 class OutMap:
@@ -49,22 +49,12 @@ class OutMap:
         tgt = self._out[idx]
         if np.any(tgt >= self.dom.n_sites):
             raise DomainError("out-neighbor index outside domain")
-        diff = tgt - idx
-        if not diff.all():
-            bad = int(idx[np.argmin(diff != 0)])
-            raise DomainError(f"self-loop at {self.dom.index_site(bad)}")
-        # adjacency from the index step alone: +-stride along an axis whose
-        # coordinate is not on the face it would cross, or on a torus the
-        # -+(side-1)*stride wrap across that face
-        ok = np.zeros(len(idx), dtype=bool)
-        for side, stride in zip(self.dom.shape, flat_strides(self.dom.shape)):
-            c = idx // stride % side
-            ok |= (diff == stride) & (c < side - 1) | (diff == -stride) & (c > 0)
-            if self.dom.wraps:
-                wrap = (side - 1) * stride
-                ok |= (diff == -wrap) & (c == side - 1) | (diff == wrap) & (c == 0)
-        if not ok.all():
-            bad = int(idx[np.argmin(ok)])
+        code = self.dom.step_codes(idx, tgt)
+        if not code.all():
+            loop = tgt == idx
+            if loop.any():
+                raise DomainError(f"self-loop at {self.dom.index_site(int(idx[np.argmax(loop)]))}")
+            bad = int(idx[np.argmin(code != 0)])
             raise DomainError(
                 f"out-neighbor of {self.dom.index_site(bad)} is not adjacent"
             )
@@ -117,10 +107,11 @@ class OutMap:
         coords = self.dom.index_coords()
         inside = np.all((coords >= box.lo) & (coords <= box.hi), axis=1)
         src, dst = self.edge_arrays()
-        unit_step = np.abs(coords[dst] - coords[src]).sum(axis=1) == 1
-        keep = inside[src] & inside[dst] & unit_step
+        keep = inside[src] & inside[dst]
+        s, t = box.coords_index(coords[src[keep]]), box.coords_index(coords[dst[keep]])
+        step = box.step_codes(s, t) != 0  # a torus seam edge is no step of the box
         new_out = np.full(box.n_sites, -1, dtype=np.int64)
-        new_out[box.coords_index(coords[src[keep]])] = box.coords_index(coords[dst[keep]])
+        new_out[s[step]] = t[step]
         return OutMap(box, new_out, self.active_margin)
 
     def __eq__(self, other):
@@ -279,42 +270,35 @@ def label_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
 
 def torus_winding(dom: Torus, src: np.ndarray, dst: np.ndarray) -> tuple:
-    """Labels of the components of the edges {src[i], dst[i]} on the torus,
-    numbered by least site as ``label_components`` numbers them, and per
-    label whether the component, its edges read as steps of minimal
-    displacement, winds around the torus.
-
-    One labeling with every seam-crossing edge cut; ``merge_seams`` then
-    joins the pieces across the seam edges and finds the winding."""
-    seam = np.zeros(len(src), dtype=bool)
-    units = []
-    for stride, side in zip(flat_strides(dom.shape), dom.sides):
-        delta = (dst // stride) % side - (src // stride) % side
-        units.append(-np.round(delta / side).astype(np.int64))
-        seam |= units[-1] != 0
-    cut = label_components(dom.n_sites, src[~seam], dst[~seam])
-    return merge_seams(cut, src[seam], dst[seam], [u[seam] for u in units])
+    """Labels of the components of the lattice steps src[i] -> dst[i] on the
+    torus, numbered by least site as ``label_components`` numbers them, and
+    per label whether the component winds around the torus."""
+    return merge_seams(dom.n_sites, src, dst, dom.seam_codes(src, dst))
 
 
-def merge_seams(cut: np.ndarray, s: np.ndarray, t: np.ndarray, units) -> tuple:
-    """Join the pieces of a cut labeling across seam edges {s[i], t[i]}: the
-    step from s[i] to t[i] crosses units[a][i] sides along axis a.  Returns
-    the joined labels, still numbered by least site, and per joined label
-    whether it winds.
+def merge_seams(n: int, src: np.ndarray, dst: np.ndarray, crossed: np.ndarray) -> tuple:
+    """Labels of the components of the graph on n vertices with edges
+    {src[i], dst[i]}, numbered by least vertex as ``label_components`` numbers
+    them, and per label whether the component winds: the step from src[i] to
+    dst[i] crosses a seam along +e_a when crossed[i] is a + 1, along -e_a when
+    it is -(a + 1), and no seam when it is 0.
 
-    The chase walks the seam edges between pieces with their lift offsets; a
-    piece reached at two different offsets means its component winds.  It
-    starts from the pieces in increasing order, so each joined component is
-    rooted at its least piece, which holds its least site."""
-    if not len(s):
+    One labeling with every seam edge cut; a chase then walks the seam edges
+    between its pieces with their lift offsets, and a piece reached at two
+    different offsets means its component winds.  It starts from the pieces
+    in increasing order, so each joined component is rooted at its least
+    piece, which holds its least vertex."""
+    seam = crossed != 0
+    cut = label_components(n, src[~seam], dst[~seam])
+    if not seam.any():
         return cut, np.zeros(int(cut.max()) + 1, dtype=bool)
     # Lift offsets, in sides per axis, packed into one integer in base 2k+1
     # for k seam edges: a tree path plus one more seam edge uses at most k of
     # them, so every offset compared stays in [-k, k] per axis.
-    base = 2 * len(s) + 1
-    codes = [sum(u * base**a for a, u in enumerate(us)) for us in zip(*(u.tolist() for u in units))]
+    base = 2 * int(seam.sum()) + 1
+    offs = [(1 if c > 0 else -1) * base ** (abs(c) - 1) for c in crossed[seam].tolist()]
     adj: dict = {}
-    for cu, cv, off in zip(cut[s].tolist(), cut[t].tolist(), codes):
+    for cu, cv, off in zip(cut[src[seam]].tolist(), cut[dst[seam]].tolist(), offs):
         adj.setdefault(cu, []).append((cv, off))
         adj.setdefault(cv, []).append((cu, -off))
 

@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import UnsupportedDimensionError
-from .lattice import Box, Torus
 from .nngraph import OutMap, undirected_components
 from .serialize import format_rows
 from .topology import RegionClassification
@@ -76,16 +75,12 @@ def _outmap_rows(g: OutMap, labeling, pos) -> list:
     src, dst = g.edge_arrays()
     x0, y0 = px[src].astype(np.float64), py[src].astype(np.float64)
     x1, y1 = px[dst].astype(np.float64), py[dst].astype(np.float64)
-    dashed = np.zeros(len(src), dtype=bool)
-    if isinstance(dom, Torus):
-        # seam edge: draw a stub in the step direction instead of a chord
-        step = coords[dst] - coords[src]
-        dashed = np.any(np.abs(step) > 1, axis=1)
-        sides = np.asarray(dom.sides)
-        t = step[dashed] % sides
-        dv = np.where(t <= sides - t, t, t - sides)
-        x1[dashed] = x0[dashed] + dv[:, 0] * _SCALE * 0.45
-        y1[dashed] = y0[dashed] - dv[:, 1] * _SCALE * 0.45
+    seam = dom.seam_codes(src, dst)
+    dashed = seam != 0
+    # seam edge: draw a stub in the step direction instead of a chord
+    s = seam[dashed]
+    x1[dashed] = x0[dashed] + np.sign(s) * (np.abs(s) == 1) * _SCALE * 0.45
+    y1[dashed] = y0[dashed] - np.sign(s) * (np.abs(s) == 2) * _SCALE * 0.45
     mx, my = x0 + 0.75 * (x1 - x0), y0 + 0.75 * (y1 - y0)
     x0, y0, x1, y1, mx, my = _format_each(np.stack([x0, y0, x1, y1, mx, my]), _fmt)
     color = _format_each(labeling.labels[src], _palette)

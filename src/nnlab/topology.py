@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import SpecError, StructureError, UnsupportedDimensionError
 from .lattice import Box, Torus
-from .nngraph import ComponentLabeling, label_components, merge_seams
+from .nngraph import ComponentLabeling, merge_seams
 
 
 def _check_window(window):
@@ -38,20 +38,16 @@ def _free_pieces(free: np.ndarray, wraps) -> tuple:
     pairs from its last row to its first).  Labels cover every grid site, in
     flat order, numbered by least site; False sites are singletons."""
     idx = np.arange(free.size).reshape(free.shape)
-    src, dst, units = [], [], []
+    src, dst, crossed = [], [], []
     for a, wrap in enumerate(wraps):
         f, i = free.swapaxes(0, a), idx.swapaxes(0, a)
         # pairs of rows along a, and on a wrapping axis the seam, last row to first
-        for lo, hi, crossed in [(slice(None, -1), slice(1, None), 0), (-1, 0, 1)][: 1 + wrap]:
+        for lo, hi, seam in [(slice(None, -1), slice(1, None), False), (-1, 0, True)][: 1 + wrap]:
             ok = f[lo] & f[hi]
             src.append(i[lo][ok])
             dst.append(i[hi][ok])
-            units.append(np.zeros((free.ndim, ok.sum()), dtype=np.int64))
-            units[-1][a] = crossed
-    src, dst, units = np.concatenate(src), np.concatenate(dst), np.concatenate(units, axis=1)
-    seam = units.any(axis=0)
-    cut = label_components(free.size, src[~seam], dst[~seam])
-    labels, unbounded = merge_seams(cut, src[seam], dst[seam], units[:, seam])
+            crossed.append(np.full(len(src[-1]), (a + 1) * seam, dtype=np.int8))
+    labels, unbounded = merge_seams(free.size, *map(np.concatenate, (src, dst, crossed)))
     for a, wrap in enumerate(wraps):
         if not wrap:
             faces = labels.reshape(free.shape).swapaxes(0, a)[[0, -1]]
@@ -472,19 +468,15 @@ def check_no_interior_circuits(V: Iterable, window, margin: int = 2) -> bool:
     """Unbounded-proxy V: boundary fragments clear of the window edge must not
     close up into contractible circuits."""
     _, walks = _dual_walks(_closure_mask(_sites_mask(V, window), window), window)
-    circuits = [_dual_points(ids, window) for closed, _, ids in walks if closed]
+    circuits = [np.asarray(ids) for closed, _, ids in walks if closed]
     if isinstance(window, Torus):
-        return all(_dual_circuit_winds(v, window) for v in circuits)
-    return not any(_clear(v, window, margin).all() for v in circuits)
+        # a torus's dual grid is the window's grid, so a dual circuit winds
+        # exactly when its steps cross some seam a nonzero net number of times
+        crossed = [window.seam_codes(v[:-1], v[1:]) for v in circuits]
+        return all(np.bincount(np.abs(c), np.sign(c), window.d + 1)[1:].any() for c in crossed)
+    return not any(_clear(_dual_points(v, window), window, margin).all() for v in circuits)
 
 
 def _clear(v: np.ndarray, box: Box, margin) -> np.ndarray:
     """Which dual vertices (rows of v) lie at least margin inside the box corners."""
     return np.all((v >= np.add(box.lo, margin)) & (v <= np.subtract(box.hi, margin)), axis=1)
-
-
-def _dual_circuit_winds(v: np.ndarray, window: Torus) -> bool:
-    """Whether the circuit through the dual points v (rows) winds around the torus."""
-    sides = np.asarray(window.sides)
-    total = ((np.diff(v, axis=0) + sides / 2) % sides - sides / 2).sum(axis=0)
-    return bool(np.any(np.abs(total) > 0.25))

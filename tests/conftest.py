@@ -4,10 +4,23 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from nnlab.lattice import Box, Torus
 from nnlab.nngraph import OutMap
 from nnlab.rng import SeededRng
+
+
+@st.composite
+def small_domains(draw):
+    """A Box or Torus of dimension 1-3: box axes of side 1-4 from a lo in
+    [-3, 3], torus sides 3 or 4."""
+    d = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return Torus(draw(st.lists(st.integers(3, 4), min_size=d, max_size=d)))
+    lo = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    sides = draw(st.lists(st.integers(1, 4), min_size=d, max_size=d))
+    return Box(tuple(lo), tuple(c + s - 1 for c, s in zip(lo, sides)))
 
 
 def vertex_priority_digraph(dom, seed: int) -> OutMap:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nnlab.errors import DomainError, SpecError, UnsupportedDimensionError
@@ -16,6 +16,7 @@ from nnlab.lattice import (
     star_neighbors,
 )
 
+from conftest import small_domains
 from oracles import dual_of, face_depth, primal_of
 
 
@@ -181,3 +182,36 @@ def test_coords_index_is_strict():
             dom.coords_index(bad)
     with pytest.raises(DomainError):
         dom.edge_slots([dom.site_index((0, 0))], [dom.site_index((2, 2))])
+
+
+@settings(max_examples=150, deadline=None)
+@given(dom=small_domains(), seed=st.integers(0, 2**32 - 1))
+@example(dom=Box((-2, 0, -1), (-2, 1, 2)), seed=0)
+@example(dom=Torus((3, 4, 3)), seed=0)
+def test_step_codes_match_neighbor_tables(dom, seed):
+    """Every neighbor pair in both orders, every self pair and random pairs
+    decode to the (axis, sign) whose neighbor table holds them, or to 0; a
+    step wraps a seam exactly when it leaves the face it steps across."""
+    n = dom.n_sites
+    rng = np.random.default_rng(seed)
+    i = np.arange(n)
+    pairs = [(i, i), (rng.integers(0, n, 4 * n), rng.integers(0, n, 4 * n))]
+    for a in range(dom.d):
+        j = dom.neighbor_index(a, +1)
+        pairs += [(i[j >= 0], j[j >= 0]), (j[j >= 0], i[j >= 0])]
+    src, dst = map(np.concatenate, zip(*pairs))
+    expect = np.zeros(len(src), dtype=np.int64)
+    face = np.zeros(len(src), dtype=bool)
+    c = dom.index_coords() - np.asarray(dom._lo)
+    for a in range(dom.d):
+        for sign in (+1, -1):
+            hit = dom.neighbor_index(a, sign)[src] == dst
+            expect[hit] = sign * (a + 1)
+            face[hit] = c[src[hit], a] == (dom.shape[a] - 1 if sign > 0 else 0)
+    code = dom.step_codes(src, dst)
+    assert code.dtype == np.int8
+    assert np.array_equal(code, expect)
+    wraps = (code != 0) & ((code > 0) != (dst > src))
+    assert np.array_equal(wraps, face & (code != 0))
+    assert np.array_equal(dom.seam_codes(src, dst), np.where(wraps, code, 0))
+    assert wraps.any() == dom.wraps

@@ -26,7 +26,7 @@ from nnlab.rng import SeededRng
 from nnlab.generators import gen_zerner_merkl
 from nnlab.weights import sample_iid_uniform, verify_theorem3_preconditions
 
-from conftest import brute_force_components, brute_force_nn, random_outmap, vertex_priority_digraph
+from conftest import brute_force_components, brute_force_nn, random_outmap, small_domains, vertex_priority_digraph
 from oracles import (
     backward_set,
     check_monotone_decreasing,
@@ -217,18 +217,8 @@ def test_torus_winding_matches_labels_and_lift_oracle(case):
             assert winds[c] == component_wraps(comp, dom)
 
 
-@st.composite
-def _domains(draw):
-    d = draw(st.integers(1, 3))
-    if draw(st.booleans()):
-        return Torus(draw(st.lists(st.integers(3, 4), min_size=d, max_size=d)))
-    lo = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
-    sides = draw(st.lists(st.integers(1, 4), min_size=d, max_size=d))
-    return Box(tuple(lo), tuple(c + s - 1 for c, s in zip(lo, sides)))
-
-
 @settings(max_examples=200, deadline=None)
-@given(dom=_domains(), data=st.data())
+@given(dom=small_domains(), data=st.data())
 def test_outmap_target_check_matches_neighbor_tables(dom, data):
     # Tori need sides >= 3, so side-1 and side-2 axes occur on boxes only.
     # Valid maps point at a random neighbor or nowhere; corrupted ones then
@@ -252,6 +242,19 @@ def test_outmap_target_check_matches_neighbor_tables(dom, data):
         assert str(err.value) == expect
     assert dom._nbr_cache == {}
 
+
+
+@pytest.mark.parametrize("make", [lambda: Box((-1, 0, 2), (3, 4, 5)), lambda: Torus((5, 4))],
+                         ids=["box", "torus"])
+def test_step_decoding_builds_no_neighbor_tables(make):
+    # the out-array comes from an equal domain, so only the calls below touch dom
+    g = build_nn_directed(sample_iid_uniform(make(), SeededRng(3)))
+    dom = make()
+    src, dst = OutMap(dom, g.out_index).edge_arrays()
+    dom.edge_slots(src, dst)
+    if dom.wraps:
+        torus_winding(dom, src, dst)
+    assert dom._nbr_cache == {}
 
 def test_backward_forward_consistency():
     dom = Torus((4, 4))

@@ -11,6 +11,7 @@ from nnlab.errors import DomainError, StructureError, UnsupportedDimensionError
 from nnlab.lattice import Box, Torus
 from nnlab.nngraph import OutMap, build_nn_directed, undirected_components
 from nnlab.rng import SeededRng
+from nnlab import topology
 from nnlab.generators import gen_dyadic_window, gen_zerner_merkl, modify_type_c
 from nnlab.topology import (
     boundary_edges,
@@ -88,6 +89,23 @@ def test_closure_idempotent_and_complement_unbounded(bits):
     assert check_complement_unbounded(sites, WIN)
     assert check_neighbor_hole(sites, WIN)
 
+
+
+def test_neighbor_hole_check_sees_a_partly_filled_hole(monkeypatch):
+    # V rings the hole {(2, 2), (3, 2)}; the patched closure fills only
+    # (3, 2), leaving (2, 2) open on its -1 side along axis 0
+    hole = [(2, 2), (3, 2)]
+    V = [(x, y) for x in range(1, 5) for y in range(1, 4) if (x, y) not in hole]
+    assert check_neighbor_hole(V, WIN)
+    real = topology._closure_mask
+
+    def partial(mask, window):
+        out = real(mask, window)
+        out[window.site_index(hole[0])] = False
+        return out
+
+    monkeypatch.setattr(topology, "_closure_mask", partial)
+    assert not check_neighbor_hole(V, WIN)
 
 @settings(max_examples=40, deadline=None)
 @given(bits=st.integers(0, 2**25 - 1))
@@ -189,8 +207,7 @@ def test_closure_labels_once_on_its_cut_grid(monkeypatch):
         calls["label_components"] += 1
         return fn(*args, **kwargs)
 
-    for mod in (nnlab.nngraph, nnlab.topology):
-        monkeypatch.setattr(mod, "label_components", counted)
+    monkeypatch.setattr(nnlab.nngraph, "label_components", counted)
     box = Box((0, 0), (127, 127))
     mask = np.zeros(box.n_sites, dtype=bool)
     mask[box.coords_index(_shifted(_RING, 60, 70))] = True
