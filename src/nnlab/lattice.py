@@ -9,6 +9,7 @@ as ordered pairs ``(a, b)`` with ``a`` lexicographically smallest, so that
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from typing import Iterator, Optional
 
 import numpy as np
@@ -315,6 +316,49 @@ class Torus(_DomainBase):
 
     def __repr__(self):
         return f"Torus(sides={self.sides})"
+
+
+class SiteSet(Sequence):
+    """Read-only sequence of the sites of a domain at an int64 array of flat
+    indices, in the array's order.  Tuples are made only when the set is
+    indexed or iterated; ``np.asarray`` gives the (m, d) coordinate array."""
+
+    def __init__(self, dom, idx):
+        self.dom = dom
+        self.idx = np.array(idx, dtype=np.int64)
+        self.idx.flags.writeable = False
+        self._cache = {}
+
+    def cached(self, key, make) -> np.ndarray:
+        """make(), computed at the first call for key and kept read-only on
+        the set, so every reader of the set shares one array."""
+        if key not in self._cache:
+            value = make()
+            value.flags.writeable = False
+            self._cache[key] = value
+        return self._cache[key]
+
+    def __len__(self):
+        return len(self.idx)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return SiteSet(self.dom, self.idx[k])
+        return self.dom.index_site(int(self.idx[k]))
+
+    def __iter__(self):
+        return iter(self.dom.index_sites(self.idx))
+
+    def __array__(self, dtype=None, copy=None):
+        rel = np.stack(np.unravel_index(self.idx, self.dom.shape), axis=-1)
+        coords = rel + np.asarray(self.dom._lo, dtype=np.int64)
+        return coords if dtype is None else coords.astype(dtype, copy=False)
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+
+    def __repr__(self):
+        return f"SiteSet({self.dom}, {len(self)} sites)"
 
 
 def neighbors(x: Site, dom) -> list:

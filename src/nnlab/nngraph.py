@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import DomainError, SpecError, StructureError
-from .lattice import Box, Site, Torus, canonical_edge
+from .lattice import Box, Site, SiteSet, Torus, canonical_edge
 
 
 class OutMap:
@@ -45,6 +45,9 @@ class OutMap:
         self._check_targets()
 
     def _check_targets(self):
+        if (low := self._out < -1).any():
+            i = int(np.argmax(low))
+            raise DomainError(f"out-neighbor of {self.dom.index_site(i)} is {self._out[i]}, not a site index or -1")
         idx = np.flatnonzero(self._out >= 0)
         tgt = self._out[idx]
         if np.any(tgt >= self.dom.n_sites):
@@ -178,8 +181,8 @@ class ComponentLabeling:
     def component_of(self, x: Site) -> int:
         return int(self.labels[self.dom.site_index(x)])
 
-    def vertices_of(self, cid: int) -> list:
-        return self.dom.index_sites(np.flatnonzero(self.labels == cid))
+    def vertices_of(self, cid: int) -> SiteSet:
+        return SiteSet(self.dom, np.flatnonzero(self.labels == cid))
 
     def count(self, kind: str) -> int:
         if kind == "total":

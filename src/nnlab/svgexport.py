@@ -108,10 +108,10 @@ _HATCHES = (
 def render_regions_svg(rc: RegionClassification) -> str:
     """Type (a) regions shaded per component, (b)/(c) hatched."""
     w, h, pos = _geometry(rc.window)
-    sites = np.array([x for r in rc.regions for x in r.sites], dtype=np.int64)
+    order = np.argsort(rc.region_id, kind="stable")  # region by region, each in flat order
     fills = np.array([_REGION_FILL[r.kind] or _palette(r.rid) for r in rc.regions], dtype=object)
-    fill = np.repeat(fills, [len(r.sites) for r in rc.regions])
-    x, y = _format_each(np.stack(pos(sites)) - _SCALE // 2, _fmt)
+    fill = fills[rc.region_id[order]]
+    x, y = _format_each(np.stack(pos(rc.window.index_coords()[order])) - _SCALE // 2, _fmt)
     rect = (f'<rect x="%s" y="%s" width="{_SCALE}" height="{_SCALE}" '
             'fill="%s" fill-opacity="0.55"/>\n')
     return _document(w, h, format_rows(rect, [x, y, fill]), _HATCHES)

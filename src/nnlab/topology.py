@@ -6,21 +6,25 @@ wraps.  All dual-path degree assertions exempt window-edge dual vertices,
 where clipping truncates the boundary.
 
 Inside the module a set of sites is a boolean mask over flat site indices
-(flat order is lexicographic order); site tuples appear only in arguments
-and results.
+(flat order is lexicographic order).  A ``SiteSet`` of the window is read by
+its indices, and the closure of one is computed once and kept on it; any
+other collection of sites is parsed strictly.  Site tuples appear only in
+arguments and results.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import SpecError, StructureError, UnsupportedDimensionError
-from .lattice import Box, Torus
+from .errors import DomainError, SpecError, StructureError, UnsupportedDimensionError
+from .lattice import Box, SiteSet, Torus
 from .nngraph import ComponentLabeling, merge_seams
+from .serialize import format_rows
 
 
 def _check_window(window):
@@ -55,13 +59,28 @@ def _free_pieces(free: np.ndarray, wraps) -> tuple:
     return labels, unbounded
 
 
-def _sites_mask(V: Iterable, window) -> np.ndarray:
-    """Boolean mask of a collection of sites; DomainError unless every entry is
-    an integer site of the window."""
+def _site_set(V: Iterable, window) -> SiteSet:
+    """V as a SiteSet of the window: V itself when it is one, else its entries
+    parsed strictly, with DomainError unless each is an integer site of the
+    window."""
     _check_window(window)
+    if isinstance(V, SiteSet) and V.dom == window:
+        return V
+    return SiteSet(window, window.coords_index(list(V)))
+
+
+def _sites_mask(V: Iterable, window) -> np.ndarray:
+    """Boolean mask of a collection of sites (see _site_set)."""
     mask = np.zeros(window.n_sites, dtype=bool)
-    mask[window.coords_index(list(V))] = True
+    mask[_site_set(V, window).idx] = True
     return mask
+
+
+def _closure_of(V: Iterable, window) -> np.ndarray:
+    """The closure mask of V: once per SiteSet of the window, kept read-only
+    on the set, so that every check of one set shares it."""
+    V = _site_set(V, window)
+    return V.cached("closure", lambda: _closure_mask(_sites_mask(V, window), window))
 
 
 def _closure_mask(mask: np.ndarray, window) -> np.ndarray:
@@ -108,7 +127,7 @@ def _closure_mask(mask: np.ndarray, window) -> np.ndarray:
 def closure(V: Iterable, window) -> set:
     """V plus every complement site-component that is finite in the proxy
     sense (does not touch a box boundary; on a torus, does not wrap)."""
-    return set(window.index_sites(np.flatnonzero(_closure_mask(_sites_mask(V, window), window))))
+    return set(window.index_sites(np.flatnonzero(_closure_of(V, window))))
 
 
 # ---- dual boundary ---------------------------------------------------------------
@@ -236,7 +255,7 @@ def _dual_walks(clo: np.ndarray, window) -> tuple:
 
 def boundary_edges(V: Iterable, window) -> list:
     """Dual edges separating closure(V) from its complement, inside the window."""
-    lo, hi, _, _ = _dual_edges(_closure_mask(_sites_mask(V, window), window), window)
+    lo, hi, _, _ = _dual_edges(_closure_of(V, window), window)
     return _dual_pairs(lo, hi, window)
 
 
@@ -244,7 +263,7 @@ def dual_boundary(V: Iterable, window) -> list:
     """Decompose the dual edge boundary of V into maximal paths and circuits,
     each traversed from its lexicographically least vertex with the closure on
     the left."""
-    (lo, hi, _, _), walks = _dual_walks(_closure_mask(_sites_mask(V, window), window), window)
+    (lo, hi, _, _), walks = _dual_walks(_closure_of(V, window), window)
     pairs = _dual_pairs(lo, hi, window)
     return [DualPath([pairs[e] for e in run], closed) for closed, run, _ in walks]
 
@@ -270,7 +289,7 @@ def _plaquette_degrees(clo: np.ndarray, window) -> tuple:
 def interior_dual_degrees(V: Iterable, window) -> dict:
     """Degree of each dual vertex of B(V), restricted to dual vertices whose
     four surrounding primal sites all lie in the window, in sorted order."""
-    verts, deg = _plaquette_degrees(_closure_mask(_sites_mask(V, window), window), window)
+    verts, deg = _plaquette_degrees(_closure_of(V, window), window)
     on = deg > 0
     return {(x, y): k for (x, y), k in zip(verts[on].tolist(), deg[on].tolist())}
 
@@ -283,7 +302,7 @@ def star_boundary_path(component_sites: Iterable, window) -> list:
     closure: outside endpoints of the boundary's bisected edges, with the
     common outside site-neighbor inserted between diagonal consecutive pairs.
     """
-    clo = _closure_mask(_sites_mask(component_sites, window), window)
+    clo = _closure_of(component_sites, window)
     (_, _, outside, _), walks = _dual_walks(clo, window)
     if len(walks) != 1:
         n = len(walks)
@@ -322,16 +341,42 @@ def star_boundary_path(component_sites: Iterable, window) -> list:
 class Region:
     kind: str  # 'a', 'b', or 'c'
     rid: int
-    sites: list
+    sites: Sequence  # a SiteSet from classify_regions
     component_id: Optional[int] = None  # for type (a): the component it closes
     star_touches: list = field(default_factory=list)  # rids of (a)/(b) regions (type c)
+
+
+class RegionTags(Mapping):
+    """Read-only site -> (kind, rid) view over a flat region-id array."""
+
+    def __init__(self, window, region_id: np.ndarray, kinds: list):
+        self._window, self._rid, self._kinds = window, region_id, kinds
+
+    def __getitem__(self, site):
+        try:
+            (i,) = self._window.coords_index([site])
+        except DomainError:
+            raise KeyError(site) from None
+        r = int(self._rid[i])
+        return self._kinds[r], r
+
+    def __iter__(self):
+        return iter(self._window.index_sites(np.arange(len(self._rid))))
+
+    def __len__(self):
+        return len(self._rid)
 
 
 @dataclass
 class RegionClassification:
     window: object
-    tags: dict  # site -> (kind, rid)
+    region_id: np.ndarray = field(compare=False)  # per site in flat order, its rid; set by regions
     regions: list
+
+    @property
+    def tags(self) -> RegionTags:
+        """site -> (kind, rid) for every window site."""
+        return RegionTags(self.window, self.region_id, [r.kind for r in self.regions])
 
     def counts(self) -> dict:
         out = {"a": 0, "b": 0, "c": 0}
@@ -341,16 +386,15 @@ class RegionClassification:
 
     def partition_complete(self) -> bool:
         n = self.window.n_sites
-        return len(self.tags) == n and sum(len(r.sites) for r in self.regions) == n
+        return len(self.region_id) == n and sum(len(r.sites) for r in self.regions) == n
 
     def to_csv(self) -> str:
-        """site coordinates, type tag, region id; one row per window site."""
-        lines = ["site,tag,region"]
-        for site in sorted(self.tags):
-            kind, rid = self.tags[site]
-            coord = " ".join(str(c) for c in site)
-            lines.append(f"{coord},{kind},{rid}")
-        return "\n".join(lines) + "\n"
+        """site coordinates, type tag, region id; one row per window site, in
+        sorted site order, which is flat order."""
+        kinds = np.array([r.kind for r in self.regions], dtype=object)[self.region_id]
+        site = " ".join(["%d"] * self.window.d)
+        rows = format_rows(f"{site},%s,%d\n", [*self.window.index_coords().T, kinds, self.region_id])
+        return "site,tag,region\n" + "".join(rows)
 
 
 def infinite_component_ids(labeling: ComponentLabeling) -> list:
@@ -393,19 +437,19 @@ def classify_regions(labeling: ComponentLabeling, window) -> RegionClassificatio
     rid[left] = piece_rid[labels[left]]
     kinds = ["a"] * len(a_ids) + ["b" if u else "c" for u in unbounded[piece]]
 
-    sites = window.index_sites(np.argsort(rid, kind="stable"))
+    rid.flags.writeable = False
+    members = SiteSet(window, np.argsort(rid, kind="stable"))
     ends = np.cumsum(np.bincount(rid)).tolist()
-    regions, tags = [], {}
+    regions = []
     for r, (kind, lo, hi) in enumerate(zip(kinds, [0, *ends], ends)):
         cid = a_ids[r] if kind == "a" else None
-        regions.append(Region(kind, r, sites[lo:hi], component_id=cid))
-        tags.update(dict.fromkeys(sites[lo:hi], (kind, r)))
+        regions.append(Region(kind, r, members[lo:hi], component_id=cid))
     in_c = np.array([k == "c" for k in kinds])[rid]
     c_rid, ab_rid = _neighbor_pairs(np.where(in_c, rid, -1), np.where(in_c, -1, rid),
                                     _STAR_STEPS, window)
     for r, t in zip(c_rid.tolist(), ab_rid.tolist()):
         regions[r].star_touches.append(t)
-    return RegionClassification(window, tags, regions)
+    return RegionClassification(window, rid, regions)
 
 
 _AXIS_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -432,14 +476,16 @@ def _neighbor_pairs(p: np.ndarray, q: np.ndarray, steps, window) -> tuple:
 
 
 def check_closure_idempotent(V: Iterable, window) -> bool:
-    c1 = _closure_mask(_sites_mask(V, window), window)
+    """The closure of V is its own closure: V's shared closure, and one more
+    computed from it."""
+    c1 = _closure_of(V, window)
     return bool(np.array_equal(_closure_mask(c1, window), c1))
 
 
 def check_neighbor_hole(V: Iterable, window) -> bool:
     """Sites of the closure with a neighbor outside it must belong to V."""
-    vs = _sites_mask(V, window)
-    clo = _closure_mask(vs, window)
+    V = _site_set(V, window)
+    vs, clo = _sites_mask(V, window), _closure_of(V, window)
     filled = np.flatnonzero(clo & ~vs)
     for a in range(2):
         for sgn in (+1, -1):
@@ -458,7 +504,7 @@ def check_complement_unbounded(V: Iterable, window) -> bool:
 def check_degree_two(V: Iterable, window, margin: int = 2) -> bool:
     """Interior dual vertices of B(V) have degree exactly two, for
     site-connected V (window-edge dual vertices are exempt on boxes)."""
-    verts, deg = _plaquette_degrees(_closure_mask(_sites_mask(V, window), window), window)
+    verts, deg = _plaquette_degrees(_closure_of(V, window), window)
     if isinstance(window, Box):
         deg = deg[_clear(verts, window, margin)]
     return bool(np.all((deg == 0) | (deg == 2)))
@@ -467,7 +513,7 @@ def check_degree_two(V: Iterable, window, margin: int = 2) -> bool:
 def check_no_interior_circuits(V: Iterable, window, margin: int = 2) -> bool:
     """Unbounded-proxy V: boundary fragments clear of the window edge must not
     close up into contractible circuits."""
-    _, walks = _dual_walks(_closure_mask(_sites_mask(V, window), window), window)
+    _, walks = _dual_walks(_closure_of(V, window), window)
     circuits = [np.asarray(ids) for closed, _, ids in walks if closed]
     if isinstance(window, Torus):
         # a torus's dual grid is the window's grid, so a dual circuit winds

@@ -89,11 +89,13 @@ def _dedupe(w: np.ndarray, rng: SeededRng, interval) -> np.ndarray:
         flat = w.reshape(-1)
         valid = ~np.isnan(flat)
         vals = flat[valid]
+        ranked = np.sort(vals)
+        if not (ranked[1:] == ranked[:-1]).any():
+            return w
+        # only on a tie: the stable order picks which slot of it redraws
         order = np.argsort(vals, kind="stable")
         dup = np.zeros(len(vals), dtype=bool)
         eq = vals[order][1:] == vals[order][:-1]
-        if not eq.any():
-            return w
         dup[order[1:][eq]] = True
         slots = np.where(valid)[0][dup]
         for s in slots:

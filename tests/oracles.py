@@ -201,7 +201,8 @@ def classify_regions_reference(labeling, window) -> RegionClassification:
         for x in comp:
             tags[x] = (kind, rid)
     fill_star_touches_reference(regions, tags, window)
-    return RegionClassification(window, tags, regions)
+    region_id = np.array([tags[x][1] for x in window.sites()], dtype=np.int64)
+    return RegionClassification(window, region_id, regions)
 
 
 def fill_star_touches_reference(regions: list, tags: dict, window) -> None:
@@ -767,8 +768,12 @@ def gen_finite_k_reference(k: int, n: int, window: Box, rng: SeededRng) -> tuple
 
 def check_targets_reference(dom, out: np.ndarray) -> Optional[str]:
     """The DomainError message ``OutMap`` raises for ``out``, or None if the
-    map is admissible: the first out-of-range target, then the first
-    self-loop, then the first site whose target is not in its neighbor table."""
+    map is admissible: the first site whose target is below -1, the first
+    out-of-range target, then the first self-loop, then the first site whose
+    target is not in its neighbor table."""
+    for i in range(dom.n_sites):
+        if out[i] < -1:
+            return f"out-neighbor of {dom.index_site(i)} is {out[i]}, not a site index or -1"
     present = [i for i in range(dom.n_sites) if out[i] >= 0]
     if any(out[i] >= dom.n_sites for i in present):
         return "out-neighbor index outside domain"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from nnlab.errors import DomainError, SpecError, UnsupportedDimensionError
 from nnlab.lattice import (
     Box,
+    SiteSet,
     Torus,
     canonical_edge,
     neighbors,
@@ -215,3 +216,30 @@ def test_step_codes_match_neighbor_tables(dom, seed):
     assert np.array_equal(wraps, face & (code != 0))
     assert np.array_equal(dom.seam_codes(src, dst), np.where(wraps, code, 0))
     assert wraps.any() == dom.wraps
+
+
+@pytest.mark.parametrize("dom", [Box((-2, 1), (3, 4)), Torus((5, 4))], ids=repr)
+def test_site_set_reads_as_its_tuple_list(dom):
+    """A SiteSet of flat indices reads as the list of their sites: equality
+    both ways, indexing, slicing, the coordinate array, sets and sorting.
+    Its indices and what it caches are read-only."""
+    idx = np.array([7, 0, 13, 19])
+    tuples = dom.index_sites(idx)
+    S = SiteSet(dom, idx)
+    assert S == tuples and tuples == S and S == tuple(tuples)
+    assert S != tuples[:-1] and S != tuples[::-1] and S != set(tuples)
+    assert len(S) == 4 and S[0] == tuples[0] and S[-1] == tuples[-1] and list(S) == tuples
+    assert isinstance(S[1:3], SiteSet) and S[1:3] == tuples[1:3] == SiteSet(dom, idx[1:3])
+    arr = np.asarray(S, dtype=np.int64)
+    assert arr.shape == (4, 2) and arr.dtype == np.int64 and arr.tolist() == [list(x) for x in tuples]
+    assert np.asarray(S).dtype == np.int64 and np.asarray(S[:0]).shape == (0, 2)
+    assert dom.coords_index(S).tolist() == idx.tolist()
+    assert frozenset(S) == frozenset(tuples) and sorted(S) == sorted(tuples)
+    idx[0] = 1  # the set holds its own copy
+    assert S == tuples
+    with pytest.raises(ValueError):
+        S.idx[0] = 1
+    made = S.cached("key", lambda: np.zeros(3, dtype=bool))
+    assert S.cached("key", lambda: pytest.fail("made twice")) is made
+    with pytest.raises(ValueError):
+        made[0] = True

@@ -243,6 +243,13 @@ def test_outmap_target_check_matches_neighbor_tables(dom, data):
     assert dom._nbr_cache == {}
 
 
+def test_outmap_rejects_targets_below_minus_one():
+    # -1 is the only "no out-edge" value; a -2 would make two unequal OutMaps
+    # of one graph
+    with pytest.raises(DomainError) as err:
+        OutMap(Box((0,), (3,)), np.array([1, 0, -2, 2]))
+    assert str(err.value) == "out-neighbor of (2,) is -2, not a site index or -1"
+
 
 @pytest.mark.parametrize("make", [lambda: Box((-1, 0, 2), (3, 4, 5)), lambda: Torus((5, 4))],
                          ids=["box", "torus"])

@@ -224,6 +224,53 @@ def test_closure_labels_once_on_its_cut_grid(monkeypatch):
     assert calls["label_components"] == 1
 
 
+def test_lemma_checks_of_one_site_set_share_its_closure(monkeypatch):
+    """The three lemma checks of one vertices_of(cid) compute 2 closures: the
+    set's own, kept read-only on it, and the second one of the idempotence
+    check.  The same sites as a tuple list cost 4, one per closure read."""
+    window = Box((0, 0), (15, 15))
+    lab = undirected_components(build_nn_directed(sample_iid_uniform(window, SeededRng(2))))
+    calls = []
+    real = topology._closure_mask
+
+    def counted(mask, window):
+        calls.append(1)
+        return real(mask, window)
+
+    monkeypatch.setattr(topology, "_closure_mask", counted)
+
+    def checks(V):
+        calls.clear()
+        got = (check_degree_two(V, window), check_closure_idempotent(V, window),
+               check_neighbor_hole(V, window))
+        return got, len(calls)
+
+    V = lab.vertices_of(int(np.argmax(lab.sizes)))
+    got, n_calls = checks(V)
+    assert n_calls == 2
+    assert checks(list(V)) == (got, 4)
+    clo = topology._closure_of(V, window)
+    assert len(calls) == 4  # read from the set, not computed again
+    with pytest.raises(ValueError):
+        clo[0] = not clo[0]
+
+
+def test_region_tags_read_as_the_tag_dict():
+    """RegionClassification.tags is a read-only view over the flat region-id
+    array that equals the site -> (kind, rid) dict of its regions."""
+    window = Torus((6, 7))
+    rc = classify_regions(undirected_components(random_outmap(window, 4)), window)
+    tags = {x: (r.kind, r.rid) for r in rc.regions for x in r.sites}
+    assert rc.tags == tags and tags == rc.tags and len(rc.tags) == window.n_sites
+    assert list(rc.tags) == sorted(tags) and rc.tags[(5, 6)] == tags[(5, 6)]
+    assert (6, 0) not in rc.tags and rc.tags.get((1.5, 0)) is None
+    with pytest.raises(TypeError):
+        rc.tags[(0, 0)] = ("c", 0)
+    with pytest.raises(ValueError):
+        rc.region_id[0] = 0
+    assert rc == classify_regions(undirected_components(random_outmap(window, 4)), window)
+
+
 def test_dual_boundary_single_site():
     paths = dual_boundary({(0, 0)}, WIN)
     assert len(paths) == 1

@@ -174,6 +174,23 @@ def test_dedupe_first_redraw_unchanged():
     assert out[0, [0, 1, 3]].tolist() == [0.5, 0.3, 0.25]
 
 
+def test_dedupe_sort_finds_ties_apart_in_slot_order(monkeypatch):
+    # two ties, apart in slot order and across an empty slot: the later slot
+    # of each takes its first-attempt draw; once no tie is left, no argsort runs
+    rng = SeededRng(0)
+    w = np.array([[0.7, 0.2, np.nan, 0.4, 0.2, 0.7]])
+    out = _dedupe(w.copy(), rng, (np.zeros(6), np.ones(6)))
+    assert out[0, [4, 5]].tolist() == [_first_redraw(rng, 4), _first_redraw(rng, 5)]
+    assert out[0, [0, 1, 3]].tolist() == [0.7, 0.2, 0.4]
+
+    def no_argsort(*args, **kwargs):
+        raise AssertionError("argsort without a collision")
+
+    monkeypatch.setattr(np, "argsort", no_argsort)
+    again = _dedupe(out.copy(), rng, (np.zeros(6), np.ones(6)))
+    assert np.array_equal(again, out, equal_nan=True)
+
+
 def test_dedupe_retry_draws_a_new_value():
     # slot 2 ties slot 0, and its first redraw lands on slot 1's value; the
     # retry must not repeat that redraw
