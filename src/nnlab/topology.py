@@ -354,10 +354,9 @@ class RegionTags(Mapping):
 
     def __getitem__(self, site):
         try:
-            (i,) = self._window.coords_index([site])
-        except DomainError:
+            r = int(self._rid[self._window.site_index(site)])
+        except (DomainError, IndexError, TypeError):  # not a site; a float one indexes nothing
             raise KeyError(site) from None
-        r = int(self._rid[i])
         return self._kinds[r], r
 
     def __iter__(self):
@@ -370,7 +369,7 @@ class RegionTags(Mapping):
 @dataclass
 class RegionClassification:
     window: object
-    region_id: np.ndarray = field(compare=False)  # per site in flat order, its rid; set by regions
+    region_id: np.ndarray = field(compare=False)  # per site in flat order, its rid; the regions fix it
     regions: list
 
     @property
