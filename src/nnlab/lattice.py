@@ -321,29 +321,25 @@ class Torus(_DomainBase):
 class SiteSet(Sequence):
     """Read-only sequence of the sites of a domain at an int64 array of flat
     indices, in the array's order.  Tuples are made only when the set is
-    indexed or iterated; ``np.asarray`` gives the (m, d) coordinate array."""
+    indexed or iterated; ``np.asarray`` gives the (m, d) coordinate array.
+    DomainError unless every index is one of the domain's sites."""
 
     def __init__(self, dom, idx):
         self.dom = dom
         self.idx = np.array(idx, dtype=np.int64)
+        if len(self.idx) and (self.idx.min() < 0 or self.idx.max() >= dom.n_sites):
+            raise DomainError(f"flat site index outside 0..{dom.n_sites - 1} of {dom}")
         self.idx.flags.writeable = False
-        self._cache = {}
-
-    def cached(self, key, make) -> np.ndarray:
-        """make(), computed at the first call for key and kept read-only on
-        the set, so every reader of the set shares one array."""
-        if key not in self._cache:
-            value = make()
-            value.flags.writeable = False
-            self._cache[key] = value
-        return self._cache[key]
+        self.closure = None  # the planar closure mask, once topology has read it
 
     def __len__(self):
         return len(self.idx)
 
     def __getitem__(self, k):
-        if isinstance(k, slice):
-            return SiteSet(self.dom, self.idx[k])
+        if isinstance(k, slice):  # a read-only view of indices already checked
+            part = object.__new__(SiteSet)
+            part.dom, part.idx, part.closure = self.dom, self.idx[k], None
+            return part
         return self.dom.index_site(int(self.idx[k]))
 
     def __iter__(self):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -80,7 +81,10 @@ def _closure_of(V: Iterable, window) -> np.ndarray:
     """The closure mask of V: once per SiteSet of the window, kept read-only
     on the set, so that every check of one set shares it."""
     V = _site_set(V, window)
-    return V.cached("closure", lambda: _closure_mask(_sites_mask(V, window), window))
+    if V.closure is None:
+        V.closure = _closure_mask(_sites_mask(V, window), window)
+        V.closure.flags.writeable = False
+    return V.closure
 
 
 def _closure_mask(mask: np.ndarray, window) -> np.ndarray:
@@ -354,8 +358,11 @@ class RegionTags(Mapping):
 
     def __getitem__(self, site):
         try:
-            r = int(self._rid[self._window.site_index(site)])
-        except (DomainError, IndexError, TypeError):  # not a site; a float one indexes nothing
+            x = tuple(int(c) for c in site)  # as a dict key, (1.0, 0) is (1, 0)
+            if x != site:
+                raise KeyError
+            r = int(self._rid[self._window.site_index(x)])
+        except (KeyError, DomainError, TypeError, ValueError, OverflowError):
             raise KeyError(site) from None
         return self._kinds[r], r
 
@@ -372,7 +379,7 @@ class RegionClassification:
     region_id: np.ndarray = field(compare=False)  # per site in flat order, its rid; the regions fix it
     regions: list
 
-    @property
+    @cached_property
     def tags(self) -> RegionTags:
         """site -> (kind, rid) for every window site."""
         return RegionTags(self.window, self.region_id, [r.kind for r in self.regions])
@@ -384,8 +391,18 @@ class RegionClassification:
         return out
 
     def partition_complete(self) -> bool:
+        """Every window site lies in exactly one region, and region_id gives
+        each site the rid of that region."""
+        try:
+            sets = [_site_set(r.sites, self.window) for r in self.regions]
+        except DomainError:  # a region holds a site outside the window
+            return False
+        ids = np.concatenate([s.idx for s in sets] + [np.empty(0, dtype=np.int64)])
+        rids = np.repeat([r.rid for r in self.regions], [len(s) for s in sets])
         n = self.window.n_sites
-        return len(self.region_id) == n and sum(len(r.sites) for r in self.regions) == n
+        return (len(ids) == n and len(self.region_id) == n
+                and bool((np.bincount(ids, minlength=n) == 1).all())
+                and bool((self.region_id[ids] == rids).all()))
 
     def to_csv(self) -> str:
         """site coordinates, type tag, region id; one row per window site, in

@@ -222,7 +222,8 @@ def test_step_codes_match_neighbor_tables(dom, seed):
 def test_site_set_reads_as_its_tuple_list(dom):
     """A SiteSet of flat indices reads as the list of their sites: equality
     both ways, indexing, slicing, the coordinate array, sets and sorting.
-    Its indices and what it caches are read-only."""
+    Its indices are read-only, and an index outside the domain is a
+    DomainError."""
     idx = np.array([7, 0, 13, 19])
     tuples = dom.index_sites(idx)
     S = SiteSet(dom, idx)
@@ -239,7 +240,7 @@ def test_site_set_reads_as_its_tuple_list(dom):
     assert S == tuples
     with pytest.raises(ValueError):
         S.idx[0] = 1
-    made = S.cached("key", lambda: np.zeros(3, dtype=bool))
-    assert S.cached("key", lambda: pytest.fail("made twice")) is made
-    with pytest.raises(ValueError):
-        made[0] = True
+    assert S.closure is None and S[1:3].closure is None
+    for bad in ([-1], [0, dom.n_sites]):
+        with pytest.raises(DomainError):
+            SiteSet(dom, bad)

@@ -250,7 +250,7 @@ def test_lemma_checks_of_one_site_set_share_its_closure(monkeypatch):
     assert n_calls == 2
     assert checks(list(V)) == (got, 4)
     clo = topology._closure_of(V, window)
-    assert len(calls) == 4  # read from the set, not computed again
+    assert clo is V.closure and len(calls) == 4  # read from the set, not computed again
     with pytest.raises(ValueError):
         clo[0] = not clo[0]
 
@@ -264,6 +264,7 @@ def test_region_tags_read_as_the_tag_dict():
     assert rc.tags == tags and tags == rc.tags and len(rc.tags) == window.n_sites
     assert list(rc.tags) == sorted(tags) and rc.tags[(5, 6)] == tags[(5, 6)]
     assert (6, 0) not in rc.tags and rc.tags.get((1.5, 0)) is None
+    assert rc.tags[(1.0, 2)] == tags[(1, 2)] and rc.tags is rc.tags
     with pytest.raises(TypeError):
         rc.tags[(0, 0)] = ("c", 0)
     with pytest.raises(ValueError):
@@ -372,6 +373,27 @@ def test_box_classification_partition_iid():
     g = build_nn_directed(w)
     rc = classify_regions(undirected_components(g), dom)
     assert rc.partition_complete()
+
+
+def test_partition_check_reads_the_regions():
+    """partition_complete fails when a region misses a site and holds
+    another twice, when it holds a site outside the window, and when
+    region_id disagrees with the regions."""
+    dom = Box((0, 0), (7, 7))
+    rc = classify_regions(undirected_components(random_outmap(dom, 3)), dom)
+    assert rc.partition_complete()
+    big = max(rc.regions, key=lambda r: len(r.sites))
+    sites = big.sites
+    big.sites = [sites[0], *sites[:-1]]
+    assert not rc.partition_complete()
+    big.sites = [*sites[:-1], (8, 0)]
+    assert not rc.partition_complete()
+    big.sites = sites
+    assert rc.partition_complete()
+    rid = rc.region_id.copy()
+    rid[big.sites.idx[0]] = (big.rid + 1) % len(rc.regions)
+    rc.region_id = rid
+    assert not rc.partition_complete()
 
 
 def test_classification_requires_d2():

@@ -1,12 +1,13 @@
 """Alternating base/head pairs of the nnlab benchmark, written to one JSON file.
 
-    python3 tools/bench_pairs.py --base REV --head REV --seed N --label NAME \\
-        [--workload W ...] [--pairs 10] [--seconds 20]
+    python3 tools/bench_pairs.py --base REV --head REV --seed N --label NAME
 
 Run it from inside the git repository.  Each revision is extracted with
 ``git archive`` into a fresh temporary directory, and ``benchmarks/run.py``
 runs from there, so both sides run their committed files and nothing else.
-Pair k runs the base first when k is even and the head first when it is odd.
+Every workload of the head's ``BENCHMARK.json`` gets 10 pairs of runs of its
+``run_seconds`` each; pair k runs the base first when k is even and the head
+first when it is odd.
 The file ``BENCH_<yyyymmdd>_<label>.json`` in the current directory records
 both shas, the Python/numpy/scipy versions, ``os.cpu_count()``, every run's
 end-to-end metrics, and per metric each side's median and quartiles
@@ -30,7 +31,7 @@ import tarfile
 import tempfile
 from pathlib import Path
 
-WORKLOADS = ("census", "artifacts", "regions")
+PAIRS = 10
 SIDES = ("base", "head")
 
 
@@ -90,38 +91,32 @@ def main(argv=None) -> int:
     ap.add_argument("--head", required=True, help="git revision measured as the change")
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--label", required=True, help="file-name label, e.g. the change's topic")
-    ap.add_argument("--workload", action="append", choices=WORKLOADS,
-                    help="repeatable; all three when left out")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=20.0)
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2")
 
     shas = {side: git("rev-parse", "--verify", f"{getattr(args, side)}^{{commit}}") for side in SIDES}
-    doc = {
-        "label": args.label,
-        "date": datetime.date.today().isoformat(),
-        "command": f"python3 benchmarks/run.py --workload W --seed {args.seed} "
-                   f"--seconds {args.seconds:g}",
-        "shas": shas,
-        "host": versions(),
-        "workloads": {},
-    }
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
         trees = {side: extract(sha, tmp / side) for side, sha in shas.items()}
         spec = json.loads((trees["head"] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-        for wl in args.workload or WORKLOADS:
+        seconds = spec["run_seconds"]
+        doc = {
+            "label": args.label,
+            "date": datetime.date.today().isoformat(),
+            "command": f"python3 benchmarks/run.py --workload W --seed {args.seed} --seconds {seconds}",
+            "shas": shas,
+            "host": versions(),
+            "workloads": {},
+        }
+        for wl in (w["name"] for w in spec["workloads"]):
             pairs = []
-            for k in range(args.pairs):
+            for k in range(PAIRS):
                 order = SIDES if k % 2 == 0 else SIDES[::-1]
                 pair = {"first": order[0]}
                 for side in order:
-                    pair[side] = run_once(trees[side], wl, args.seed, args.seconds)
+                    pair[side] = run_once(trees[side], wl, args.seed, seconds)
                 pairs.append(pair)
-                print(f"{wl} pair {k + 1}/{args.pairs}: " + ", ".join(
+                print(f"{wl} pair {k + 1}/{PAIRS}: " + ", ".join(
                     f"{side} sites_per_s {pair[side]['metrics']['sites_per_s']:.4g}"
                     for side in SIDES), flush=True)
             doc["workloads"][wl] = {"pairs": pairs, "summary": summary(pairs, better)}
