@@ -26,7 +26,6 @@ from .nngraph import (
     ExitedDomain,
     OutMap,
     PathTrace,
-    StepCapReached,
     TwoCycle,
     backward_sizes,
     build_nn_directed,

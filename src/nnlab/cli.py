@@ -71,16 +71,21 @@ def _run(fn):
 def _parse_domain(torus: str | None, box: str | None):
     if torus and box:
         raise SpecError("give either --torus or --box, not both")
-    if torus:
-        sides = tuple(int(t) for t in torus.lower().split("x"))
-        return Torus(sides)
-    if box:
-        # format: lo1,lo2,..:hi1,hi2,..  or  WxH[xD] for [0,W-1]x[0,H-1]...
-        if ":" in box:
-            lo, hi = box.split(":")
-            return Box(tuple(int(t) for t in lo.split(",")), tuple(int(t) for t in hi.split(",")))
-        sides = tuple(int(t) for t in box.lower().split("x"))
-        return Box((0,) * len(sides), tuple(s - 1 for s in sides))
+    try:
+        if torus:
+            return Torus(tuple(int(t) for t in torus.lower().split("x")))
+        if box:
+            # format: lo1,lo2,..:hi1,hi2,..  or  WxH[xD] for [0,W-1]x[0,H-1]...
+            if ":" in box:
+                lo, hi = box.split(":")
+                return Box(tuple(int(t) for t in lo.split(",")), tuple(int(t) for t in hi.split(",")))
+            sides = tuple(int(t) for t in box.lower().split("x"))
+            return Box((0,) * len(sides), tuple(s - 1 for s in sides))
+    except ValueError:  # a part that is not an integer, or more than one ":"
+        if torus:
+            raise SpecError(f"--torus {torus!r} is not AxB[x...] with integer sides") from None
+        raise SpecError(f"--box {box!r} is neither LO:HI with comma lists of integers "
+                        "nor WxH[x...] with integer sides") from None
     return None
 
 

@@ -132,26 +132,22 @@ class OutMap:
 
 
 def build_nn_directed(w) -> "OutMap":
-    """Point every positive-degree vertex at its minimum-weight incident edge."""
+    """Point every positive-degree vertex at its minimum-weight incident edge.
+
+    A running minimum over the directions +e_0, -e_0, +e_1, ...: strict <
+    keeps the first of equal weights, and a missing edge weighs NaN, which
+    never compares less."""
     dom = w.dom
     if not w.all_distinct():
         raise StructureError("weight field has duplicate values")
-    n = dom.n_sites
-    cand_w = np.full((2 * dom.d, n), np.inf)
-    cand_t = np.full((2 * dom.d, n), -1, dtype=np.int64)
+    best = np.full(dom.n_sites, np.inf)
+    out = np.full(dom.n_sites, -1, dtype=np.int64)
     for a in range(dom.d):
-        fwd = dom.neighbor_index(a, +1)
-        has = fwd >= 0
-        cand_w[2 * a, has] = w.axis_weights(a)[has]
-        cand_t[2 * a] = fwd
-        bwd = dom.neighbor_index(a, -1)
-        hasb = bwd >= 0
-        cand_w[2 * a + 1, hasb] = w.axis_weights(a)[bwd[hasb]]
-        cand_t[2 * a + 1] = bwd
-    best = np.argmin(cand_w, axis=0)
-    cols = np.arange(n)
-    out = cand_t[best, cols]
-    out[np.isinf(cand_w[best, cols])] = -1
+        wa, bwd = w.axis_weights(a), dom.neighbor_index(a, -1)
+        back = np.where(bwd >= 0, wa[bwd], np.nan)
+        for nbr, cand in ((dom.neighbor_index(a, +1), wa), (bwd, back)):
+            take = cand < best
+            best[take], out[take] = cand[take], nbr[take]
     return OutMap(dom, out)
 
 
@@ -359,11 +355,6 @@ class ExitedDomain:
     pass
 
 
-@dataclass(frozen=True)
-class StepCapReached:
-    pass
-
-
 @dataclass
 class PathTrace:
     """The forward orbit of a site, with the reason it stopped."""
@@ -377,18 +368,17 @@ class PathTrace:
         ]
 
 
-def forward_path(x: Site, g: OutMap, step_cap: Optional[int] = None) -> PathTrace:
-    """Follow out-edges from x until a two-cycle closes, the orbit leaves the
-    active map, or the cap trips.  Revisiting any older vertex is a structure
-    violation (it witnesses a directed cycle of length >= 3)."""
-    if step_cap is None:
-        step_cap = 4 * g.dom.n_sites
+def forward_path(x: Site, g: OutMap) -> PathTrace:
+    """Follow out-edges from x until a two-cycle closes or the orbit leaves
+    the active map.  Revisiting any older vertex is a structure violation (it
+    witnesses a directed cycle of length >= 3), so the walk ends within
+    n_sites steps."""
     dom = g.dom
     o = g.out_index
     i = dom.site_index(x)
     trace = [i]
     seen = {i: 0}
-    for _ in range(step_cap):
+    while True:
         j = int(o[trace[-1]])
         if j < 0:
             return PathTrace([dom.index_site(t) for t in trace], ExitedDomain())
@@ -403,7 +393,6 @@ def forward_path(x: Site, g: OutMap, step_cap: Optional[int] = None) -> PathTrac
             )
         seen[j] = len(trace)
         trace.append(j)
-    return PathTrace([dom.index_site(t) for t in trace], StepCapReached())
 
 
 def backward_sizes(g: OutMap) -> np.ndarray:

@@ -33,9 +33,6 @@ class SeededRng:
         """Derive an independent stream; same labels always give the same stream."""
         return SeededRng(self.master_seed, self.labels + tuple(labels))
 
-    def uniform(self, size=None) -> np.ndarray:
-        return self._gen.random(size)
-
     def uniform_open(self, size=None) -> np.ndarray:
         """Uniform draws guaranteed to lie in the open interval (0, 1)."""
         u = self._gen.random(size)

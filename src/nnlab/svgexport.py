@@ -58,15 +58,13 @@ def _document(w, h, rows, defs: str = "") -> str:
     ])
 
 
-def render_outmap_svg(g: OutMap, labeling=None) -> str:
+def render_outmap_svg(g: OutMap) -> str:
     """Arrows on the lattice, components colored by label; wrap edges dashed."""
     w, h, pos = _geometry(g.dom)
-    if labeling is None:
-        labeling = undirected_components(g)
-    return _document(w, h, _outmap_rows(g, labeling, pos))
+    return _document(w, h, _outmap_rows(g, pos))
 
 
-def _outmap_rows(g: OutMap, labeling, pos) -> list:
+def _outmap_rows(g: OutMap, pos) -> list:
     """The edge and site elements, as blocks of lines; the arrays behind them
     are freed before the caller joins the blocks."""
     dom = g.dom
@@ -83,7 +81,7 @@ def _outmap_rows(g: OutMap, labeling, pos) -> list:
     y1[dashed] = y0[dashed] - np.sign(s) * (np.abs(s) == 2) * _SCALE * 0.45
     mx, my = x0 + 0.75 * (x1 - x0), y0 + 0.75 * (y1 - y0)
     x0, y0, x1, y1, mx, my = _format_each(np.stack([x0, y0, x1, y1, mx, my]), _fmt)
-    color = _format_each(labeling.labels[src], _palette)
+    color = _format_each(undirected_components(g).labels[src], _palette)
     dash = np.array(["", ' stroke-dasharray="3 2"'], dtype=object)[dashed.astype(np.int64)]
     edge = ('<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" stroke-width="1.6"%s/>\n'
             '<circle cx="%s" cy="%s" r="2.2" fill="%s"/>\n')

@@ -79,12 +79,13 @@ class WeightField:
 def _dedupe(w: np.ndarray, rng: SeededRng, interval) -> np.ndarray:
     """Re-draw colliding slots from per-slot derived streams until distinct;
     each retry draws from a stream of its own, so a redraw that collides again
-    gets a fresh value on the next attempt.
+    gets a fresh value on the next attempt.  A redraw in slot s lands in
+    (lo[s], hi[s]); scalar bounds hold for every slot.
 
     Collisions have probability ~0 for 64-bit draws; the loop keeps the
     distinctness invariant machine-checkable rather than merely almost-sure.
     """
-    lo, hi = interval
+    lo, hi = (np.broadcast_to(b, w.size) for b in interval)
     for attempt in range(64):
         flat = w.reshape(-1)
         valid = ~np.isnan(flat)
@@ -107,14 +108,9 @@ def _dedupe(w: np.ndarray, rng: SeededRng, interval) -> np.ndarray:
 
 def sample_iid_uniform(dom, rng: SeededRng) -> WeightField:
     """Independent uniform(0,1) weight per edge, reproducible from the seed."""
-    d, n = dom.d, dom.n_sites
-    w = rng.child("iid-weights").uniform_open((d, n))
-    for a in range(d):
-        w[a, dom.neighbor_index(a, +1) < 0] = np.nan
-    lo = np.zeros(d * n)
-    hi = np.ones(d * n)
-    w = _dedupe(w, rng, (lo, hi))
-    return WeightField(dom, w)
+    w = WeightField(dom, rng.child("iid-weights").uniform_open((dom.d, dom.n_sites)))
+    _dedupe(w._w, rng, (0.0, 1.0))
+    return w
 
 
 # ---- admissibility -------------------------------------------------------------
@@ -216,14 +212,11 @@ def construct_weights(g: OutMap, rng: SeededRng) -> WeightField:
     for m in (~fwd, fwd):  # a miniloop's slot counts from its base site
         v_count[axis[m], base[m]] = lab.backward[src[m]]
     u = rng.child("construct-weights").uniform_open((d, n))
-    w = np.where(carried, 1.0 / (v_count + u), 1.0 + u)
-    for a in range(d):
-        w[a, dom.neighbor_index(a, +1) < 0] = np.nan
-
+    w = WeightField(dom, np.where(carried, 1.0 / (v_count + u), 1.0 + u))
     lo = np.where(carried, 1.0 / (v_count + 1.0), 1.0).reshape(-1)
     hi = np.where(carried, 1.0 / np.maximum(v_count, 1), 2.0).reshape(-1)
-    w = _dedupe(w, rng, (lo, hi))
-    return WeightField(dom, w)
+    _dedupe(w._w, rng, (lo, hi))
+    return w
 
 
 def realizes(w: WeightField, g: OutMap) -> bool:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nnlab.errors import DomainError, SpecError, StructureError
@@ -87,9 +87,12 @@ def test_components_match_brute_force():
     assert ours == brute_force_components(g)
 
 
-def test_argmin_matches_brute_force():
-    dom = Torus((4, 5))
-    w = sample_iid_uniform(dom, SeededRng(31))
+@settings(max_examples=60, deadline=None)
+@given(dom=small_domains(), seed=st.integers(0, 2**16))
+@example(dom=Torus((4, 5)), seed=31)
+def test_argmin_matches_brute_force(dom, seed):
+    # box sites without a neighbor along some axis, or with none at all
+    w = sample_iid_uniform(dom, SeededRng(seed))
     g = build_nn_directed(w)
     assert dict(g.items()) == brute_force_nn(w)
 

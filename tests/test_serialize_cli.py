@@ -188,6 +188,19 @@ def test_cli_census_malformed_seeds(tmp_path, seeds):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--torus", "8xq"), ("--torus", "8x8x"), ("--torus", "x"),
+    ("--box", "0,0:3,3:5"), ("--box", "4x"), ("--box", "0,0:"), ("--box", "1.5x3"),
+])
+def test_cli_generate_malformed_domain(tmp_path, flag, value):
+    out = tmp_path / "o"
+    res = CliRunner().invoke(main, ["generate", "--model", "iid", flag, value,
+                                    "--seed", "1", "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith(f"error: {flag} ") and res.stderr.count("\n") == 1, res.stderr
+    assert not out.exists()
+
+
 def test_cli_generate_level_beyond_int64(tmp_path):
     res = CliRunner().invoke(main, ["generate", "--model", "dyadic", "--box", "8x8",
                                     "--level", "70", "--seed", "1", "--out", str(tmp_path / "r")])

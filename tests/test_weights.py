@@ -166,12 +166,15 @@ def _first_redraw(rng, slot):
 
 
 def test_dedupe_first_redraw_unchanged():
-    # one tie: the later slot takes its first-attempt draw, as it always has
+    # one tie: the later slot takes its first-attempt draw, as it always has,
+    # and scalar bounds give the bytes that per-slot array bounds give
     rng = SeededRng(0)
     w = np.array([[0.5, 0.3, 0.5, 0.25, np.nan]])
-    out = _dedupe(w.copy(), rng, (np.zeros(5), np.ones(5)))
-    assert out[0, 2] == _first_redraw(rng, 2)
-    assert out[0, [0, 1, 3]].tolist() == [0.5, 0.3, 0.25]
+    outs = [_dedupe(w.copy(), rng, bounds) for bounds in ((np.zeros(5), np.ones(5)), (0.0, 1.0))]
+    for out in outs:
+        assert out[0, 2] == _first_redraw(rng, 2)
+        assert out[0, [0, 1, 3]].tolist() == [0.5, 0.3, 0.25]
+    assert outs[0].tobytes() == outs[1].tobytes()
 
 
 def test_dedupe_sort_finds_ties_apart_in_slot_order(monkeypatch):
