@@ -89,7 +89,7 @@ def _parse_domain(torus: str | None, box: str | None):
     return None
 
 
-def _load_spec(spec_file, model, torus, box, seed_opts) -> GeneratorSpec:
+def _load_spec(spec_file, model, torus, box, **params) -> GeneratorSpec:
     doc = {}
     if spec_file:
         doc = json.loads(Path(spec_file).read_text())
@@ -107,7 +107,7 @@ def _load_spec(spec_file, model, torus, box, seed_opts) -> GeneratorSpec:
             doc["L"] = dom.sides[0]
         else:
             doc["window"] = domain_to_dict(dom)
-    for key, val in seed_opts.items():
+    for key, val in params.items():
         if val is not None:
             doc[key] = val
     if "variant" not in doc:
@@ -139,28 +139,37 @@ def _parse_seeds(seeds: str) -> list:
     return seed_list
 
 
+def _spec_options(fn):
+    """The model flags, shared by every verb that builds a realization."""
+    for opt in reversed([
+        click.option("--spec", "spec_file", type=click.Path(exists=True), default=None),
+        click.option("--model", default=None),
+        click.option("--torus", default=None),
+        click.option("--box", default=None),
+        click.option("--k", type=int, default=None),
+        click.option("--layers", type=int, default=None),
+        click.option("--level", "n", type=int, default=None),
+    ]):
+        fn = opt(fn)
+    return fn
+
+
 @click.group()
 def main():
     """Nearest-neighbor lattice graphs: build, verify, census, draw."""
 
 
 @main.command()
-@click.option("--spec", "spec_file", type=click.Path(exists=True), default=None)
-@click.option("--model", default=None)
-@click.option("--torus", default=None)
-@click.option("--box", default=None)
-@click.option("--k", type=int, default=None)
-@click.option("--layers", type=int, default=None)
-@click.option("--level", "n", type=int, default=None)
+@_spec_options
 @click.option("--seed", type=int, required=True)
 @click.option("--out", "outdir", type=click.Path(), required=True)
 @click.option("--construct-weights", "with_weights", is_flag=True, default=False,
               help="also realize generator output as a weight field")
-def generate(spec_file, model, torus, box, k, layers, n, seed, outdir, with_weights):
+def generate(seed, outdir, with_weights, **flags):
     """Sample one realization and persist graph, weights, and manifest."""
 
     def body():
-        spec = _load_spec(spec_file, model, torus, box, {"k": k, "layers": layers, "n": n})
+        spec = _load_spec(**flags)
         real = spec.build(seed)
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
@@ -174,10 +183,10 @@ def generate(spec_file, model, torus, box, k, layers, n, seed, outdir, with_weig
             wpath = out / "weights.csv"
             write_weights_csv(w, wpath)
             outputs["weights.csv"] = file_sha256(wpath)
-        meta = {k2: v for k2, v in real.meta.items() if isinstance(v, (int, str, list, tuple))}
+        meta = {k: v for k, v in real.meta.items() if isinstance(v, (int, str, list, tuple))}
         write_manifest(out / "manifest.json", {"spec": spec.to_dict(), "seed": seed}, outputs,
-                       extra={"meta": {k2: list(v) if isinstance(v, tuple) else v
-                                       for k2, v in meta.items()}})
+                       extra={"meta": {k: list(v) if isinstance(v, tuple) else v
+                                       for k, v in meta.items()}})
         click.echo(f"wrote {graph_path}")
 
     _run(body)
@@ -186,25 +195,24 @@ def generate(spec_file, model, torus, box, k, layers, n, seed, outdir, with_weig
 @main.command()
 @click.option("--in", "indir", type=click.Path(exists=True), default=None,
               help="directory with a persisted run")
-@click.option("--spec", "spec_file", type=click.Path(exists=True), default=None)
-@click.option("--model", default=None)
-@click.option("--torus", default=None)
-@click.option("--box", default=None)
+@_spec_options
 @click.option("--seed", type=int, default=None)
 @click.option("--report", "report_path", type=click.Path(), default=None)
-def verify(indir, spec_file, model, torus, box, seed, report_path):
+def verify(indir, seed, report_path, **flags):
     """Run the structural property suites; exit 1 on any failure."""
 
     def body():
         g = None
         w = None
         if indir:
+            if seed is not None or any(v is not None for v in flags.values()):
+                raise SpecError("verify --in reads a persisted run and takes no model flag or --seed")
             g = read_outmap_jsonl(Path(indir) / "graph.jsonl")
             wpath = Path(indir) / "weights.csv"
             if wpath.exists():
                 w = read_weights_csv(wpath)
         else:
-            spec = _load_spec(spec_file, model, torus, box, {})
+            spec = _load_spec(**flags)
             if seed is None:
                 raise SpecError("verify from a spec needs --seed")
             real = spec.build(seed)
@@ -241,20 +249,15 @@ def verify(indir, spec_file, model, torus, box, seed, report_path):
 
 
 @main.command()
-@click.option("--spec", "spec_file", type=click.Path(exists=True), default=None)
-@click.option("--model", default=None)
-@click.option("--torus", default=None)
-@click.option("--box", default=None)
-@click.option("--k", type=int, default=None)
-@click.option("--layers", type=int, default=None)
+@_spec_options
 @click.option("--seeds", default="0..9", help="range A..B or comma list")
 @click.option("--out", "outdir", type=click.Path(), required=True)
 @click.option("--verify-structure", is_flag=True, default=False)
-def census(spec_file, model, torus, box, k, layers, seeds, outdir, verify_structure):
+def census(seeds, outdir, verify_structure, **flags):
     """Per-seed component censuses, JSON lines plus an aggregate summary."""
 
     def body():
-        spec = _load_spec(spec_file, model, torus, box, {"k": k, "layers": layers})
+        spec = _load_spec(**flags)
         seed_list = _parse_seeds(seeds)
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
@@ -345,19 +348,14 @@ def export(indir, outpath, classify, fmt):
 
 
 @main.command()
-@click.option("--spec", "spec_file", type=click.Path(exists=True), default=None)
-@click.option("--model", default=None)
-@click.option("--torus", default=None)
-@click.option("--box", default=None)
-@click.option("--k", type=int, default=None)
-@click.option("--layers", type=int, default=None)
+@_spec_options
 @click.option("--seed", type=int, required=True)
-def roundtrip(spec_file, model, torus, box, k, layers, seed):
+def roundtrip(seed, **flags):
     """Realize a generated digraph as weights and demand the rebuilt graph
     match edge for edge."""
 
     def body():
-        spec = _load_spec(spec_file, model, torus, box, {"k": k, "layers": layers})
+        spec = _load_spec(**flags)
         real = spec.build(seed)
         g = real.graph
         agree = round_trip_matches(g, SeededRng(seed).child("realize"))

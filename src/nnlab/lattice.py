@@ -8,6 +8,7 @@ as ordered pairs ``(a, b)`` with ``a`` lexicographically smallest, so that
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from typing import Iterator, Optional
@@ -44,10 +45,22 @@ def flat_strides(shape) -> np.ndarray:
 
 
 class _DomainBase:
-    """Shared machinery: flat indexing, vectorized neighbor tables and lattice steps."""
+    """Everything per site, written once from the least corner ``_lo``, the
+    ``shape`` and whether every axis ``wraps``: flat indexing, membership,
+    lattice steps, neighbor lists and tables, equality."""
 
-    shape: tuple
-    d: int
+    wraps: bool
+
+    def __init__(self, lo: Site, shape: tuple):
+        self._lo, self.shape, self.d = lo, shape, len(shape)
+        _check_n_sites(shape)
+        self._nbr_cache = {}
+
+    def __eq__(self, other):
+        return type(other) is type(self) and (self._lo, self.shape) == (other._lo, other.shape)
+
+    def __hash__(self):
+        return hash((type(self).__name__, self._lo, self.shape))
 
     @property
     def n_sites(self) -> int:
@@ -75,10 +88,13 @@ class _DomainBase:
         rel = np.unravel_index(np.asarray(idx, dtype=np.int64), self.shape)
         return list(zip(*((r + lo).tolist() for r, lo in zip(rel, self._lo))))
 
-    def index_coords(self) -> np.ndarray:
-        """(n_sites, d) int64 array of coordinates in flat-index order."""
-        grids = np.indices(self.shape).reshape(self.d, -1)
-        return (grids.T + np.asarray(self._lo, dtype=np.int64)).astype(np.int64)
+    def index_coords(self, idx=None) -> np.ndarray:
+        """(m, d) int64 coordinates of the sites at the flat indices idx, or
+        of every site in flat-index order."""
+        lo = np.asarray(self._lo, dtype=np.int64)
+        if idx is None:
+            return np.indices(self.shape, dtype=np.int64).reshape(self.d, -1).T + lo
+        return np.stack(np.unravel_index(idx, self.shape), axis=-1) + lo
 
     def coords_index(self, coords) -> np.ndarray:
         """Flat indices of a sequence of integer sites; the inverse of index_coords.
@@ -129,31 +145,42 @@ class _DomainBase:
 
     # ---- per-site operations ---------------------------------------------------
 
+    def contains(self, x: Site) -> bool:
+        return len(x) == self.d and all(0 <= c - lo < n for c, lo, n in zip(x, self._lo, self.shape))
+
+    def translate(self, x: Site, dv: Site) -> Optional[Site]:
+        """x + dv, wrapped on a torus; None when it leaves a box."""
+        if self.wraps:
+            return tuple(lo + (c + t - lo) % n for c, t, lo, n in zip(x, dv, self._lo, self.shape))
+        y = tuple(c + t for c, t in zip(x, dv))
+        return y if self.contains(y) else None
+
+    def axis_neighbor(self, x: Site, axis: int, sign: int) -> Optional[Site]:
+        """x + sign * e_axis, wrapped on a torus; None when it leaves a box."""
+        y = list(x)
+        y[axis] += sign
+        if self.wraps:
+            lo = self._lo[axis]
+            y[axis] = lo + (y[axis] - lo) % self.shape[axis]
+            return tuple(y)
+        y = tuple(y)
+        return y if self.contains(y) else None
+
     def neighbors(self, x: Site) -> list:
-        """All sites at L1-distance one from x inside the domain."""
+        """All sites at L1-distance one from x inside the domain, in the order
+        +e_0, -e_0, +e_1, ..."""
         if not self.contains(x):
             raise DomainError(f"site {x} not in {self}")
-        out = []
-        for a in range(self.d):
-            for s in (1, -1):
-                y = self.axis_neighbor(x, a, s)
-                if y is not None:
-                    out.append(y)
-        return out
+        return [y for a in range(self.d) for s in (1, -1)
+                if (y := self.axis_neighbor(x, a, s)) is not None]
 
     def star_neighbors(self, x: Site) -> list:
-        """All sites at L-infinity distance one from x inside the domain."""
+        """All sites at L-infinity distance one from x inside the domain, in
+        lexicographic order of the offset."""
         if not self.contains(x):
             raise DomainError(f"site {x} not in {self}")
-        out = []
-        deltas = np.indices((3,) * self.d).reshape(self.d, -1).T - 1
-        for dv in deltas:
-            if not np.any(dv):
-                continue
-            y = self.translate(x, tuple(int(t) for t in dv))
-            if y is not None:
-                out.append(y)
-        return out
+        return [y for dv in itertools.product((-1, 0, 1), repeat=self.d)
+                if any(dv) and (y := self.translate(x, dv)) is not None]
 
     def edge(self, a: Site, b: Site) -> UEdge:
         if b not in self.neighbors(a):
@@ -236,24 +263,7 @@ class Box(_DomainBase):
         if any(l > h for l, h in zip(lo, hi)):
             raise SpecError(f"box corners must satisfy lo <= hi, got {lo} > {hi}")
         self.lo, self.hi = lo, hi
-        self.d = len(lo)
-        self._lo = lo
-        self.shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-        _check_n_sites(self.shape)
-        self._nbr_cache = {}
-
-    def contains(self, x: Site) -> bool:
-        return len(x) == self.d and all(l <= c <= h for c, l, h in zip(x, self.lo, self.hi))
-
-    def translate(self, x: Site, dv: Site) -> Optional[Site]:
-        y = tuple(c + t for c, t in zip(x, dv))
-        return y if self.contains(y) else None
-
-    def axis_neighbor(self, x: Site, axis: int, sign: int) -> Optional[Site]:
-        y = list(x)
-        y[axis] += sign
-        y = tuple(y)
-        return y if self.contains(y) else None
+        super().__init__(lo, tuple(h - l + 1 for l, h in zip(lo, hi)))
 
     def face_depths(self) -> np.ndarray:
         """L-infinity distance from each site to the complement of the box, in
@@ -265,12 +275,6 @@ class Box(_DomainBase):
             axis_depth = 1 + np.minimum(i, s - 1 - i)
             depth = np.minimum(depth, axis_depth.reshape([-1 if b == a else 1 for b in range(self.d)]))
         return depth.reshape(-1)
-
-    def __eq__(self, other):
-        return isinstance(other, Box) and (self.lo, self.hi) == (other.lo, other.hi)
-
-    def __hash__(self):
-        return hash(("box", self.lo, self.hi))
 
     def __repr__(self):
         return f"Box(lo={self.lo}, hi={self.hi})"
@@ -287,32 +291,11 @@ class Torus(_DomainBase):
             raise SpecError("torus needs at least one axis")
         if any(s < 3 for s in sides):
             raise SpecError(f"torus sides must all be >= 3, got {sides}")
-        _check_n_sites(sides)
         self.sides = sides
-        self.d = len(sides)
-        self.shape = sides
-        self._lo = (0,) * self.d
-        self._nbr_cache = {}
-
-    def contains(self, x: Site) -> bool:
-        return len(x) == self.d and all(0 <= c < s for c, s in zip(x, self.sides))
+        super().__init__((0,) * len(sides), sides)
 
     def wrap(self, x: Site) -> Site:
         return tuple(c % s for c, s in zip(x, self.sides))
-
-    def translate(self, x: Site, dv: Site) -> Site:
-        return tuple((c + t) % s for c, t, s in zip(x, dv, self.sides))
-
-    def axis_neighbor(self, x: Site, axis: int, sign: int) -> Site:
-        y = list(x)
-        y[axis] = (y[axis] + sign) % self.sides[axis]
-        return tuple(y)
-
-    def __eq__(self, other):
-        return isinstance(other, Torus) and self.sides == other.sides
-
-    def __hash__(self):
-        return hash(("torus", self.sides))
 
     def __repr__(self):
         return f"Torus(sides={self.sides})"
@@ -346,8 +329,7 @@ class SiteSet(Sequence):
         return iter(self.dom.index_sites(self.idx))
 
     def __array__(self, dtype=None, copy=None):
-        rel = np.stack(np.unravel_index(self.idx, self.dom.shape), axis=-1)
-        coords = rel + np.asarray(self.dom._lo, dtype=np.int64)
+        coords = self.dom.index_coords(self.idx)
         return coords if dtype is None else coords.astype(dtype, copy=False)
 
     def __eq__(self, other):

@@ -414,7 +414,9 @@ def out_edge_weights(g: OutMap, w) -> np.ndarray:
     src = np.flatnonzero(o >= 0)
     base, axis = g.dom.edge_slots(src, o[src])
     res = np.full(g.dom.n_sites, np.nan)
-    res[src] = np.stack([w.axis_weights(a) for a in range(g.dom.d)])[axis, base]
+    for a in range(g.dom.d):
+        on = np.flatnonzero(axis == a)
+        res[src[on]] = w.axis_weights(a)[base[on]]
     return res
 
 

@@ -30,12 +30,10 @@ def _geometry(dom):
     w = dom.shape[0] * _SCALE + 2 * _PAD
     h = dom.shape[1] * _SCALE + 2 * _PAD
 
-    def pos(site):
-        """Pixel position of a site, or of each row of an (m, 2) site array."""
-        site = np.asarray(site)
-        x = (site[..., 0] - dom._lo[0]) * _SCALE + _PAD
-        y = h - ((site[..., 1] - dom._lo[1]) * _SCALE + _PAD)
-        return x, y
+    def pos(idx):
+        """Pixel positions of the sites at the flat indices idx."""
+        col, row = np.unravel_index(idx, dom.shape)
+        return col * _SCALE + _PAD, h - (row * _SCALE + _PAD)
 
     return w, h, pos
 
@@ -68,8 +66,7 @@ def _outmap_rows(g: OutMap, pos) -> list:
     """The edge and site elements, as blocks of lines; the arrays behind them
     are freed before the caller joins the blocks."""
     dom = g.dom
-    coords = dom.index_coords()
-    px, py = pos(coords)
+    px, py = pos(np.arange(dom.n_sites))
     src, dst = g.edge_arrays()
     x0, y0 = px[src].astype(np.float64), py[src].astype(np.float64)
     x1, y1 = px[dst].astype(np.float64), py[dst].astype(np.float64)
@@ -109,7 +106,7 @@ def render_regions_svg(rc: RegionClassification) -> str:
     order = np.argsort(rc.region_id, kind="stable")  # region by region, each in flat order
     fills = np.array([_REGION_FILL[r.kind] or _palette(r.rid) for r in rc.regions], dtype=object)
     fill = fills[rc.region_id[order]]
-    x, y = _format_each(np.stack(pos(rc.window.index_coords()[order])) - _SCALE // 2, _fmt)
+    x, y = _format_each(np.stack(pos(order)) - _SCALE // 2, _fmt)
     rect = (f'<rect x="%s" y="%s" width="{_SCALE}" height="{_SCALE}" '
             'fill="%s" fill-opacity="0.55"/>\n')
     return _document(w, h, format_rows(rect, [x, y, fill]), _HATCHES)

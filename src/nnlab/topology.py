@@ -287,7 +287,7 @@ def _plaquette_degrees(clo: np.ndarray, window) -> tuple:
     c, c0, c1 = clo[ll], clo[f0[ll]], clo[f1[ll]]
     c01 = clo[f0[f1[ll]]]
     deg = (c != c0).astype(np.int64) + (c1 != c01) + (c != c1) + (c0 != c01)
-    return np.stack(np.unravel_index(ll, window.shape), axis=-1) + np.add(window._lo, 0.5), deg
+    return window.index_coords(ll) + 0.5, deg
 
 
 def interior_dual_degrees(V: Iterable, window) -> dict:

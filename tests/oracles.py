@@ -119,6 +119,26 @@ def displacement(dom: Torus, a: Site, b: Site) -> Site:
     return tuple(out)
 
 
+def translate_reference(x: Site, dv: Site, dom) -> Optional[Site]:
+    """x + dv by coordinate arithmetic: reduced mod each side on a torus,
+    None when it leaves a box."""
+    y = tuple(c + t for c, t in zip(x, dv))
+    if isinstance(dom, Torus):
+        return tuple(c % s for c, s in zip(y, dom.sides))
+    return y if all(l <= c <= h for c, l, h in zip(y, dom.lo, dom.hi)) else None
+
+
+def star_neighbors_reference(x: Site, dom) -> list:
+    """Every site of the domain whose offset from x, the short way round on a
+    torus, has L-infinity norm one, in lexicographic order of that offset."""
+    found = []
+    for y in dom.sites():
+        dv = displacement(dom, x, y) if isinstance(dom, Torus) else tuple(b - a for a, b in zip(x, y))
+        if max(map(abs, dv)) == 1:
+            found.append((dv, y))
+    return [y for _, y in sorted(found)]
+
+
 def lift_winds(start: Site, steps, window: Torus) -> bool:
     """Lift a connected site set to the covering lattice, walking from start;
     ``steps(u)`` lists the (neighbor, minimal displacement) pairs to follow
@@ -338,7 +358,7 @@ def plaquette_degrees_reference(clo: np.ndarray, window) -> tuple:
     c0, c1 = ((f >= 0) & (clo != clo[f]) for f in (f0, f1))
     ll = np.flatnonzero((f0 >= 0) & (f1 >= 0))
     deg = c0[ll].astype(np.int64) + c0[f1[ll]] + c1[ll] + c1[f0[ll]]
-    return np.stack(np.unravel_index(ll, window.shape), axis=-1) + np.add(window._lo, 0.5), deg
+    return window.index_coords()[ll] + 0.5, deg
 
 
 def closure_on_left_reference(u, v, clo: set, window) -> bool:

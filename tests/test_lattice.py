@@ -18,7 +18,7 @@ from nnlab.lattice import (
 )
 
 from conftest import small_domains
-from oracles import dual_of, face_depth, primal_of
+from oracles import dual_of, face_depth, primal_of, star_neighbors_reference, translate_reference
 
 
 def test_box_1d_boundary_truncation():
@@ -203,7 +203,7 @@ def test_step_codes_match_neighbor_tables(dom, seed):
     src, dst = map(np.concatenate, zip(*pairs))
     expect = np.zeros(len(src), dtype=np.int64)
     face = np.zeros(len(src), dtype=bool)
-    c = dom.index_coords() - np.asarray(dom._lo)
+    c = np.indices(dom.shape).reshape(dom.d, -1).T  # coordinates relative to the least corner
     for a in range(dom.d):
         for sign in (+1, -1):
             hit = dom.neighbor_index(a, sign)[src] == dst
@@ -244,3 +244,50 @@ def test_site_set_reads_as_its_tuple_list(dom):
     for bad in ([-1], [0, dom.n_sites]):
         with pytest.raises(DomainError):
             SiteSet(dom, bad)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dom=small_domains(), dv=st.lists(st.integers(-5, 5), min_size=3, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+@example(dom=Box((-2, 0, -1), (-2, 1, 2)), dv=[0, 1, -3], seed=0)
+@example(dom=Torus((3, 4, 3)), dv=[-1, 4, 5], seed=0)
+def test_per_site_methods_match_neighbor_tables(dom, dv, seed):
+    """At every site, axis_neighbor, neighbors and contains agree with the
+    neighbor tables; translate and star_neighbors agree with coordinate
+    arithmetic; index_coords(idx) reads rows of index_coords()."""
+    coords = dom.index_coords()
+    sites = [tuple(c) for c in coords.tolist()]
+    dv = tuple(dv[:dom.d])
+    for i, x in enumerate(sites):
+        assert dom.contains(x) and not dom.contains(x + (0,)) and not dom.contains(x[1:])
+        expect = []
+        for a in range(dom.d):
+            for sign in (1, -1):
+                j = int(dom.neighbor_index(a, sign)[i])
+                y = sites[j] if j >= 0 else None
+                assert dom.axis_neighbor(x, a, sign) == y
+                step = tuple(c + sign * (b == a) for b, c in enumerate(x))
+                assert dom.contains(step) == (y == step)
+                expect += [y] if y is not None else []
+        assert dom.neighbors(x) == expect
+        assert dom.star_neighbors(x) == star_neighbors_reference(x, dom)
+        assert dom.translate(x, dv) == translate_reference(x, dv, dom)
+    idx = np.random.default_rng(seed).integers(0, dom.n_sites, 2 * dom.n_sites)
+    for part in (idx, idx[:0], np.arange(dom.n_sites)):
+        got = dom.index_coords(part)
+        assert got.dtype == np.int64 and got.shape == (len(part), dom.d)
+        assert np.array_equal(got, coords[part])
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=small_domains(), b=small_domains())
+@example(a=Box((0, 0), (2, 2)), b=Torus((3, 3)))
+@example(a=Box((0, 0, 0), (3, 2, 3)), b=Box((1, 0, 0), (4, 2, 3)))
+def test_domain_equality_is_by_kind_and_corners(a, b):
+    """Two domains are equal exactly when their reprs are: a Box never equals
+    a Torus of the same shape, nor a Box of the same shape elsewhere.  Equal
+    domains hash equal."""
+    assert (a == b) == (b == a) == (repr(a) == repr(b))
+    for dom in (a, b):
+        copy = eval(repr(dom), {"Box": Box, "Torus": Torus})
+        assert copy == dom and hash(copy) == hash(dom) and copy is not dom

@@ -209,6 +209,33 @@ def test_cli_generate_level_beyond_int64(tmp_path):
     assert "int64" not in res.stderr
 
 
+@pytest.mark.parametrize("verb", ["verify", "census", "roundtrip"])
+def test_cli_level_on_every_verb(tmp_path, verb):
+    """Every verb that builds a realization takes the model flags, --level
+    among them, and hands them to the spec: level 3 builds, level 70 is
+    refused by the dyadic spec itself."""
+    run = ["--seeds", "1..1", "--out", str(tmp_path / "c")] if verb == "census" else ["--seed", "1"]
+    for level, code in (("3", 0), ("70", 2)):
+        res = CliRunner().invoke(main, [verb, "--model", "dyadic", "--box", "8x8",
+                                        "--level", level, *run])
+        assert res.exit_code == code, res.output + res.stderr
+    assert "63" in res.stderr and res.stderr.count("\n") == 1, res.stderr
+
+
+@pytest.mark.parametrize("flags", [["--model", "zerner_merkl"], ["--torus", "12x12"],
+                                   ["--level", "3"], ["--seed", "3"]])
+def test_cli_verify_in_takes_no_model_flags(tmp_path, flags):
+    """verify --in reads the persisted run; a model flag or --seed beside it
+    would be ignored, so it is refused."""
+    out = tmp_path / "r"
+    res = CliRunner().invoke(main, ["generate", "--model", "zerner_merkl", "--torus", "12x12",
+                                    "--seed", "3", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    res = CliRunner().invoke(main, ["verify", "--in", str(out), *flags])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+
+
 def test_cli_census_modal(tmp_path):
     runner = CliRunner()
     out = tmp_path / "c"
