@@ -268,7 +268,8 @@ def test_per_site_methods_match_neighbor_tables(dom, dv, seed):
                 assert dom.axis_neighbor(x, a, sign) == y
                 step = tuple(c + sign * (b == a) for b, c in enumerate(x))
                 assert dom.contains(step) == (y == step)
-                expect += [y] if y is not None else []
+                if y is not None:
+                    expect.append(y)
         assert dom.neighbors(x) == expect
         assert dom.star_neighbors(x) == star_neighbors_reference(x, dom)
         assert dom.translate(x, dv) == translate_reference(x, dv, dom)
