@@ -16,7 +16,7 @@ import click
 import numpy as np
 
 from .errors import NNLabError, SpecError
-from .generators import GeneratorSpec
+from .generators import _PARAMS, GeneratorSpec
 from .lattice import Box, Torus
 from .nngraph import (  # build_nn_directed stays in this namespace for tracers that patch it
     build_nn_directed,  # noqa: F401
@@ -89,7 +89,7 @@ def _parse_domain(torus: str | None, box: str | None):
     return None
 
 
-def _load_spec(spec_file, model, torus, box, **params) -> GeneratorSpec:
+def _load_spec(spec_file, model, torus, box, k, layers, n) -> GeneratorSpec:
     doc = {}
     if spec_file:
         doc = json.loads(Path(spec_file).read_text())
@@ -97,20 +97,27 @@ def _load_spec(spec_file, model, torus, box, **params) -> GeneratorSpec:
             raise SpecError(f"{spec_file}: a generator spec must be a JSON object")
     if model:
         doc["variant"] = model
+    variant = doc.get("variant")
+    # the keys the variant reads; an unknown variant reads none, and from_dict names it
+    reads = _PARAMS.get(variant, {}) if isinstance(variant, str) else {}
+    dom_key = next((key for key in ("domain", "L") if key in reads), "window")
+    flags = {"--torus": (dom_key, torus), "--box": (dom_key, box),
+             "--k": ("k", k), "--layers": ("layers", layers), "--level": ("n", n)}
+    for flag, (key, val) in flags.items():
+        if val is not None and reads and key not in reads:
+            raise SpecError(f"{flag} is not read by the {variant} model")
     dom = _parse_domain(torus, box)
     if dom is not None:
-        if doc.get("variant") == "iid":
-            doc["domain"] = domain_to_dict(dom)
-        elif doc.get("variant") == "zerner_merkl":
+        if variant == "zerner_merkl":
             if not isinstance(dom, Torus) or dom.sides != (dom.sides[0],) * 2:
                 raise SpecError("zerner_merkl takes a square torus")
             doc["L"] = dom.sides[0]
         else:
-            doc["window"] = domain_to_dict(dom)
-    for key, val in params.items():
+            doc[dom_key] = domain_to_dict(dom)
+    for key, val in (("k", k), ("layers", layers), ("n", n)):
         if val is not None:
             doc[key] = val
-    if "variant" not in doc:
+    if variant is None:
         raise SpecError("no model given: pass --spec FILE or --model NAME")
     return GeneratorSpec.from_dict(doc)
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -93,44 +94,57 @@ def gen_zerner_merkl(
 # ---- dyadic ------------------------------------------------------------------------
 
 
-def _tz_int(c: int) -> int:
-    # trailing zeros; 64 stands in for infinity at c == 0
-    return (c & -c).bit_length() - 1 if c else 64
-
-
-def gen_dyadic_k(x: Site) -> int:
-    """Smallest k >= 1 with x / 2^k no longer integral."""
-    _check_orthant(x)
-    return min(_tz_int(c) for c in x) + 1
-
-
-def gen_dyadic_i(x: Site) -> int:
-    """Largest axis (1-based) odd in x / 2^(k(x)-1)."""
-    _check_orthant(x)
-    tz = [_tz_int(c) for c in x]
-    t = min(tz)
-    return max(i for i, v in enumerate(tz) if v == t) + 1
-
-
-def _check_orthant(x: Site):
-    if any(c < 0 for c in x):
-        raise DomainError(f"{x} lies outside the nonnegative orthant")
-    if all(c == 0 for c in x):
-        raise DomainError("the origin has no dyadic out-edge")
-
-
 def _trailing_zeros(X: np.ndarray) -> np.ndarray:
-    # uint64 cast makes bitwise_count see 64 set bits for X == 0
-    return np.bitwise_count(((X & -X).astype(np.uint64)) - np.uint64(1)).astype(np.int64)
+    # 64 stands in for infinity at X == 0, where the uint64 cast sets all 64 bits
+    return np.bitwise_count(((X & -X).astype(np.uint64)) - np.uint64(1)).astype(np.int8)
+
+
+def _least_axis(tz) -> np.ndarray:
+    """The axis a whose trailing-zero count tz[a] is least, later axes winning
+    ties, per site of the per-axis arrays tz, which broadcast together."""
+    best, ax = tz[0], np.zeros(np.shape(tz[0]), dtype=np.int8)
+    for a, t in enumerate(tz[1:], 1):
+        ax = np.where(t <= best, a, ax)
+        best = np.minimum(best, t)
+    return ax
 
 
 def _dyadic_axis(X: np.ndarray) -> np.ndarray:
     """0-based axis the dyadic rule decrements, per row of X."""
-    tz = _trailing_zeros(X)
-    t = tz.min(axis=1, keepdims=True)
-    is_min = tz == t
-    d = X.shape[1]
-    return d - 1 - np.argmax(is_min[:, ::-1], axis=1)
+    return _least_axis(_trailing_zeros(X).T)
+
+
+def _orthant_row(x: Site, origin: bool = True) -> np.ndarray:
+    """x as a (1, d) int64 row; DomainError off the orthant, or at the origin unless origin."""
+    try:
+        X = np.array([[operator.index(c) for c in x]], dtype=np.int64)
+    except OverflowError:
+        raise DomainError(f"{x} has a coordinate outside int64") from None
+    if np.any(X < 0):
+        raise DomainError(f"{x} lies outside the nonnegative orthant")
+    if not (origin or X.any()):
+        raise DomainError("the origin has no dyadic out-edge")
+    return X
+
+
+def gen_dyadic_k(x: Site) -> int:
+    """Smallest k >= 1 with x / 2^k no longer integral."""
+    return int(_trailing_zeros(_orthant_row(x, origin=False)).min()) + 1
+
+
+def gen_dyadic_i(x: Site) -> int:
+    """Largest axis (1-based) odd in x / 2^(k(x)-1)."""
+    return int(_dyadic_axis(_orthant_row(x, origin=False))[0]) + 1
+
+
+def _inadmissible(Z: tuple, window: Box) -> Optional[str]:
+    """Why the dyadic rule cannot run on window + Z, or None when it can."""
+    lo_shifted = [l + z for l, z in zip(window.lo, Z)]
+    if min(lo_shifted) < 0:
+        return f"window + {Z} leaves the nonnegative orthant"
+    if not any(lo_shifted):
+        return f"window + {Z} contains the origin"
+    return None
 
 
 def gen_dyadic_window(n: int, Z: Site, window: Box) -> OutMap:
@@ -146,32 +160,19 @@ def gen_dyadic_window(n: int, Z: Site, window: Box) -> OutMap:
         raise SpecError("shift dimension mismatch")
     if any(c < 0 or c >= 2**n for c in Z):
         raise SpecError(f"shift {Z} not in [0, 2^{n})^{d}")
-    lo_shifted = tuple(l + z for l, z in zip(window.lo, Z))
-    if any(c < 0 for c in lo_shifted):
-        raise SpecError(f"window + {Z} leaves the nonnegative orthant")
-    hi_shifted = tuple(h + z for h, z in zip(window.hi, Z))
-    if all(l <= 0 <= h for l, h in zip(lo_shifted, hi_shifted)):
-        raise SpecError(f"window + {Z} contains the origin")
+    if why := _inadmissible(Z, window):
+        raise SpecError(why)
 
-    # The rule depends on each axis's 2-adic valuation alone: reduce the
-    # per-axis tables to (axis decremented, whether that step leaves the
-    # window) one axis at a time, later axes winning ties.
+    # The axis comes from per-axis valuation tables broadcast over the window.
+    # The step leaves the window from the lowest layer along ax, where the
+    # flat index lies in the first `step` indices of its block along ax.
+    tz = np.ix_(*[_trailing_zeros(np.arange(l + z, h + z + 1, dtype=np.int64))
+                  for l, h, z in zip(window.lo, window.hi, Z)])
+    ax = _least_axis(tz).reshape(-1)
     strides = flat_strides(window.shape)
-    best = np.full(window.shape, 127, dtype=np.int8)
-    ax = np.zeros(window.shape, dtype=np.int8)
-    at_lo = np.zeros(window.shape, dtype=bool)
-    for a in range(d):
-        rel = np.arange(window.shape[a], dtype=np.int64)
-        tz = _trailing_zeros(rel + window.lo[a] + np.int64(Z[a])).astype(np.int8)
-        view = [1] * d
-        view[a] = -1
-        take = tz.reshape(view) <= best
-        best = np.where(take, tz.reshape(view), best)
-        ax[take] = a
-        at_lo = np.where(take, (rel == 0).reshape(view), at_lo)
-    out = np.arange(window.n_sites, dtype=np.int64) - strides[ax.reshape(-1)]
-    out[at_lo.reshape(-1)] = -1
-    g = OutMap(window, out)
+    step, block = strides[ax], (strides * window.shape)[ax]
+    flat = np.arange(window.n_sites, dtype=np.int64)
+    g = OutMap(window, np.where(flat % block < step, -1, flat - step))
     g.meta = {"Z": Z, "system": np.zeros(window.n_sites, dtype=np.int64)}
     return g
 
@@ -179,40 +180,34 @@ def gen_dyadic_window(n: int, Z: Site, window: Box) -> OutMap:
 def sample_dyadic_shift(n: int, window: Box, rng: SeededRng) -> tuple:
     """Uniform shift in {0..2^n-1}^d, re-drawn on the (vanishing-probability)
     event that the shifted window hits the origin or leaves the orthant."""
-    d = window.d
     for attempt in range(256):
-        Z = tuple(int(c) for c in rng.child("dyadic-shift", attempt).integers(0, 2**n, d))
-        lo = tuple(l + z for l, z in zip(window.lo, Z))
-        hi = tuple(h + z for h, z in zip(window.hi, Z))
-        if all(c >= 0 for c in lo) and not all(l <= 0 <= h for l, h in zip(lo, hi)):
+        Z = tuple(int(c) for c in rng.child("dyadic-shift", attempt).integers(0, 2**n, window.d))
+        if _inadmissible(Z, window) is None:
             return Z
     raise SpecError("could not sample an admissible dyadic shift")
 
 
+def _up_steps(V: np.ndarray) -> np.ndarray:
+    """The rows v + e_a, over the rows v of V and the axes a, at which the
+    rule decrements a: every site pointing at a row of V."""
+    d = V.shape[1]
+    U = (V[:, None, :] + np.eye(d, dtype=np.int64)).reshape(-1, d)
+    return U[_dyadic_axis(U) == np.tile(np.arange(d), len(V))]
+
+
 def dyadic_in_neighbors(v: Site) -> list:
     """Sites pointing at v; lets backward trees grow without any window."""
-    d = len(v)
-    out = []
-    for a in range(d):
-        u = tuple(c + 1 if i == a else c for i, c in enumerate(v))
-        if gen_dyadic_i(u) - 1 == a:
-            out.append(u)
-    return out
+    return [tuple(u) for u in _up_steps(_orthant_row(v)).tolist()]
 
 
 def dyadic_backward_size(v: Site, cap: int) -> int:
-    """#C_v in the full orthant graph, truncated at cap."""
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for w in dyadic_in_neighbors(u):
-            if w not in seen:
-                seen.add(w)
-                if len(seen) > cap:
-                    return cap + 1
-                stack.append(w)
-    return len(seen)
+    """#C_v in the full orthant graph, truncated at cap + 1, grown one level
+    at a time: each site has one out-edge, so no site is reached twice."""
+    level, size = _orthant_row(v), 1
+    while len(level) and size <= cap:
+        level = _up_steps(level)
+        size += len(level)
+    return min(size, cap + 1)
 
 
 # ---- layered ----------------------------------------------------------------------
@@ -362,21 +357,14 @@ def gen_finite_k(k: int, n: int, window: Box, rng: SeededRng) -> OutMap:
     span = max(window.shape) // s + 3
     if 2**n <= span + 1:
         raise SpecError(f"level n={n} too small for this window")
-    shifts = [
-        tuple(int(c) for c in rng.child("finite-k-shift", j).integers(span + 1, 2**n, d))
-        for j in range(1, k + 1)
-    ]
+    shifts = [rng.child("finite-k-shift", j).integers(span + 1, 2**n, d) for j in range(1, k + 1)]
+    eye = np.eye(d, dtype=np.int64)
 
     def coarse_out(j: int, X: np.ndarray) -> np.ndarray:
         """Coarse out-neighbor of each row of X for sublattice j (dyadic)."""
-        shifted = X + np.asarray(shifts[j - 1], dtype=np.int64)
-        ax = _dyadic_axis(shifted)
-        tgt = X.copy()
-        tgt[np.arange(len(tgt)), ax] -= 1
-        return tgt
+        return X - eye[_dyadic_axis(X + shifts[j - 1])]
 
-    u_draw = rng.child("finite-k-final-shift").integers(0, s - 1, d)
-    U = tuple(int(c) for c in u_draw)
+    U = tuple(int(c) for c in rng.child("finite-k-final-shift").integers(0, s - 1, d))
 
     lo = np.asarray(window.lo)
     shape = np.asarray(window.shape)
@@ -399,8 +387,6 @@ def gen_finite_k(k: int, n: int, window: Box, rng: SeededRng) -> OutMap:
         # corners: follow the coarse out-edge's first unit step
         X = (corners + lo - U - r) // s
         step = coarse_out(j, X) - X
-        if np.any(np.abs(step).sum(axis=1) != 1):
-            raise SpecError("coarse rule must move by one lattice step")
         # segment interiors: orientation by case of the carrying coarse edge
         seg = np.concatenate(segments)
         rows = np.arange(len(seg))
@@ -409,8 +395,7 @@ def gen_finite_k(k: int, n: int, window: Box, rng: SeededRng) -> OutMap:
         ell = (Y[rows, free] - r) % s
         Y[rows, free] -= ell
         Xb = (Y - r) // s
-        e_free = np.zeros_like(Xb)
-        e_free[rows, free] = 1
+        e_free = eye[free]
         case_a = np.all(coarse_out(j, Xb) == Xb + e_free, axis=1)
         case_b = np.all(coarse_out(j, Xb + e_free) == Xb, axis=1) & ~case_a
         sign = np.where(case_a, 1, np.where(case_b, -1, 0))

@@ -361,13 +361,18 @@ def dyadic_tail_samples(d: int, n_samples: int, cap: int, master_seed: int, leve
     in-neighbors directly in orthant coordinates so no window bias enters."""
     from .generators import dyadic_backward_size
 
+    if level < 1:
+        raise SpecError(f"dyadic tail samples need level >= 1, got {level}")
     rng = SeededRng(master_seed).child("dyadic-tail", d)
     out = np.empty(n_samples, dtype=np.int64)
     for i in range(n_samples):
-        while True:
-            Z = tuple(int(c) for c in rng.child("site", i).integers(0, 2**level, d))
+        for attempt in range(256):  # the origin is redrawn on a stream of its own
+            key = ("site", i, attempt) if attempt else ("site", i)
+            Z = tuple(int(c) for c in rng.child(*key).integers(0, 2**level, d))
             if any(Z):
                 break
+        else:
+            raise SpecError(f"could not draw a nonzero dyadic site at level {level}")
         out[i] = dyadic_backward_size(Z, cap)
     return out
 

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from nnlab.errors import DomainError, SpecError, StructureError, UnsupportedDimensionError
-from nnlab.generators import _dyadic_axis, fill_region, gen_dyadic_i
+from nnlab.generators import fill_region
 from nnlab.lattice import Box, Site, Torus, canonical_edge, flat_strides
 from nnlab.nngraph import OutMap, PathTrace, TwoCycle, forward_path
 from nnlab.rng import SeededRng
@@ -646,9 +646,26 @@ def forward_closure(g: OutMap, starts: Sequence[Site]) -> set:
     return {g.dom.index_site(i) for i in seen}
 
 
+def dyadic_valuations(x: Site) -> list:
+    """Per coordinate, the number of trailing zero bits; inf at 0."""
+    return [(c & -c).bit_length() - 1 if c else math.inf for c in x]
+
+
+def dyadic_axis_reference(x: Site) -> int:
+    """0-based axis the dyadic rule decrements at a nonzero orthant site: the
+    last axis of least 2-adic valuation, from Python integer bit arithmetic."""
+    tz = dyadic_valuations(x)
+    return max(a for a, t in enumerate(tz) if t == min(tz))
+
+
+def dyadic_axes_reference(X: np.ndarray) -> np.ndarray:
+    """dyadic_axis_reference on each row of X."""
+    return np.array([dyadic_axis_reference(r) for r in X.tolist()], dtype=np.int64)
+
+
 def dyadic_out(v: Site) -> Site:
     """Out-neighbor of a nonzero orthant site under the unshifted rule."""
-    ax = gen_dyadic_i(v) - 1
+    ax = dyadic_axis_reference(v)
     return tuple(c - 1 if a == ax else c for a, c in enumerate(v))
 
 
@@ -680,7 +697,7 @@ def gen_dyadic_window_reference(n: int, Z: Site, window: Box) -> np.ndarray:
     """Out-index array of the dyadic rule on window + Z, from the window's coordinates."""
     coords = window.index_coords()
     shifted = coords + np.asarray(Z, dtype=np.int64)
-    ax = _dyadic_axis(shifted)
+    ax = dyadic_axes_reference(shifted)
     tgt = coords.copy()
     tgt[np.arange(len(tgt)), ax] -= 1
     inside = np.all((tgt >= np.asarray(window.lo)) & (tgt <= np.asarray(window.hi)), axis=1)
@@ -722,7 +739,7 @@ def gen_finite_k_reference(k: int, n: int, window: Box, rng: SeededRng) -> tuple
 
     def coarse_out(j: int, X: np.ndarray) -> np.ndarray:
         shifted = X + np.asarray(shifts[j - 1], dtype=np.int64)
-        ax = _dyadic_axis(shifted)
+        ax = dyadic_axes_reference(shifted)
         tgt = X.copy()
         tgt[np.arange(len(tgt)), ax] -= 1
         return tgt

@@ -18,6 +18,7 @@ from nnlab.nngraph import (
 from nnlab.rng import SeededRng
 from nnlab.generators import (
     GeneratorSpec,
+    _dyadic_axis,
     dyadic_backward_size,
     dyadic_in_neighbors,
     fill_region,
@@ -34,7 +35,9 @@ from nnlab.generators import (
 from nnlab.weights import verify_theorem3_preconditions
 
 from oracles import (
+    dyadic_axis_reference,
     dyadic_out,
+    dyadic_valuations,
     forward_closure,
     gen_dyadic_window_reference,
     gen_finite_k_reference,
@@ -145,6 +148,58 @@ def test_dyadic_domain_errors():
         gen_dyadic_k((0, 0))
     with pytest.raises(DomainError):
         gen_dyadic_i((-1, 2))
+    # the in-tree functions refuse negative sites; all four refuse a
+    # coordinate that does not fit in int64
+    for x in [(-1, 2), (3, -5), (-1,), (0, 0, -2), (2**63, 1), (1, 2**64 + 3), (-(2**63) - 1, 2)]:
+        for fn in (gen_dyadic_k, gen_dyadic_i, dyadic_in_neighbors,
+                   lambda v: dyadic_backward_size(v, cap=10)):
+            with pytest.raises(DomainError):
+                fn(x)
+    assert gen_dyadic_k((2**63 - 1, 2**62)) == 1
+
+
+# rows of up to 4 coordinates below 2^62, each drawn as 0, a small value, or
+# an odd number times a power of two, so that zeros and ties of valuation are common
+_coordinate = st.one_of(st.just(0), st.integers(0, 64),
+                        st.builds(lambda m, e: (2 * m + 1) << e, st.integers(0, 2**20),
+                                  st.integers(0, 40)),
+                        st.integers(0, 2**62))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 4).flatmap(lambda d: st.lists(
+    st.lists(_coordinate, min_size=d, max_size=d).filter(any), min_size=1, max_size=6)))
+@example(rows=[[4, 8, 15], [0, 8, 16], [2**62, 2**62, 0], [0, 0, 1], [6, 2, 10]])
+def test_dyadic_rule_matches_bit_arithmetic(rows):
+    # the scalar accessors and the row kernel against the pure-Python rule
+    for x in rows:
+        k = min(dyadic_valuations(x)) + 1
+        assert gen_dyadic_k(tuple(x)) == k
+        assert gen_dyadic_i(tuple(x)) == dyadic_axis_reference(x) + 1
+    axes = _dyadic_axis(np.array(rows, dtype=np.int64))
+    assert axes.tolist() == [dyadic_axis_reference(x) for x in rows]
+
+
+def _in_neighbors_reference(v):
+    ups = [tuple(c + (i == a) for i, c in enumerate(v)) for a in range(len(v))]
+    return [u for a, u in enumerate(ups) if dyadic_axis_reference(u) == a]
+
+
+@settings(max_examples=80, deadline=None)
+@given(v=st.lists(st.integers(0, 40), min_size=1, max_size=3), cap=st.integers(0, 400))
+@example(v=[0, 0], cap=30)
+@example(v=[1, 1], cap=10**4)
+def test_dyadic_in_tree_matches_bit_arithmetic(v, cap):
+    # the array in-tree against a depth-first search over the pure-Python rule
+    v = tuple(v)
+    assert dyadic_in_neighbors(v) == _in_neighbors_reference(v)
+    seen, stack = {v}, [v]
+    while stack and len(seen) <= cap:
+        for u in _in_neighbors_reference(stack.pop()):
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    assert dyadic_backward_size(v, cap) == min(len(seen), cap + 1)
 
 
 def test_dyadic_window_preconditions():

@@ -222,6 +222,26 @@ def test_cli_level_on_every_verb(tmp_path, verb):
     assert "63" in res.stderr and res.stderr.count("\n") == 1, res.stderr
 
 
+@pytest.mark.parametrize("verb", ["generate", "verify", "census", "roundtrip"])
+def test_cli_refuses_flags_the_model_does_not_read(tmp_path, verb):
+    """A model flag that the chosen variant does not read exits 2 with one
+    line naming it, rather than being ignored (or written into a manifest)."""
+    out = tmp_path / "o"
+    run = {"generate": ["--seed", "3", "--out", str(out)],
+           "census": ["--seeds", "1..1", "--out", str(out)]}.get(verb, ["--seed", "3"])
+    for flags, named in ((["--model", "iid", "--torus", "12x12", "--level", "5"], "--level"),
+                         (["--model", "iid", "--torus", "12x12", "--k", "9"], "--k"),
+                         (["--model", "zerner_merkl", "--torus", "16x16", "--layers", "4"],
+                          "--layers"),
+                         (["--model", "layered", "--box", "8x8"], "--box"),
+                         (["--model", "type_c", "--torus", "16x16"], "--torus"),
+                         (["--model", "dyadic", "--box", "8x8", "--layers", "2"], "--layers")):
+        res = CliRunner().invoke(main, [verb, *flags, *run])
+        assert res.exit_code == 2, res.output + res.stderr
+        assert res.stderr.startswith(f"error: {named} ") and res.stderr.count("\n") == 1, res.stderr
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [["--model", "zerner_merkl"], ["--torus", "12x12"],
                                    ["--level", "3"], ["--seed", "3"]])
 def test_cli_verify_in_takes_no_model_flags(tmp_path, flags):

@@ -11,7 +11,7 @@ from nnlab.errors import SpecError
 from nnlab.lattice import Box, Torus
 from nnlab.nngraph import OutMap, build_nn_directed, forward_path
 from nnlab.rng import SeededRng
-from nnlab.generators import GeneratorSpec, gen_zerner_merkl, modify_type_c
+from nnlab.generators import GeneratorSpec, dyadic_backward_size, gen_zerner_merkl, modify_type_c
 from nnlab.stats import (
     CensusRecord,
     RDescendant,
@@ -207,6 +207,37 @@ def test_dyadic_tail_sampler_deterministic():
     s2 = dyadic_tail_samples(2, 40, cap=64, master_seed=7)
     assert np.array_equal(s1, s2)
     assert s1.min() >= 1
+
+
+def test_dyadic_tail_redraws_the_origin_on_a_new_stream(monkeypatch):
+    # at level 1 a draw is the origin with probability 1/4; redrawing from the
+    # same stream would repeat it forever, so draws are counted and a repeat
+    # fails the test instead of hanging it
+    real_child, calls = SeededRng.child, []
+
+    def counted(self, *labels):
+        calls.append(labels)
+        assert len(calls) < 10_000, "the origin is redrawn forever"
+        return real_child(self, *labels)
+
+    monkeypatch.setattr(SeededRng, "child", counted)
+    samples = dyadic_tail_samples(2, 20, cap=50, master_seed=2026, level=1)
+    monkeypatch.undo()
+    rng = SeededRng(2026).child("dyadic-tail", 2)
+    first = [tuple(int(c) for c in rng.child("site", i).integers(0, 2, 2)) for i in range(20)]
+    assert (0, 0) in first
+    for i, z in enumerate(first):
+        if any(z):  # a first draw off the origin is kept: the stream is unchanged
+            assert samples[i] == dyadic_backward_size(z, 50)
+        else:
+            assert ("site", i, 1) in calls
+    assert samples.min() >= 1
+    with pytest.raises(SpecError):
+        dyadic_tail_samples(2, 5, cap=50, master_seed=2026, level=0)
+    # a stream stuck on the origin runs out of attempts
+    monkeypatch.setattr(SeededRng, "integers", lambda self, lo, hi, size=None: np.zeros(size, int))
+    with pytest.raises(SpecError):
+        dyadic_tail_samples(2, 5, cap=50, master_seed=2026, level=1)
 
 
 def test_binomial_upper_bound_sane():
