@@ -100,8 +100,7 @@ def _trailing_zeros(X: np.ndarray) -> np.ndarray:
 
 
 def _least_axis(tz) -> np.ndarray:
-    """The axis a whose trailing-zero count tz[a] is least, later axes winning
-    ties, per site of the per-axis arrays tz, which broadcast together."""
+    """Per site, the axis a of least tz[a], later axes winning ties; tz's arrays broadcast."""
     best, ax = tz[0], np.zeros(np.shape(tz[0]), dtype=np.int8)
     for a, t in enumerate(tz[1:], 1):
         ax = np.where(t <= best, a, ax)
@@ -144,7 +143,6 @@ def _inadmissible(Z: tuple, window: Box) -> Optional[str]:
         return f"window + {Z} leaves the nonnegative orthant"
     if not any(lo_shifted):
         return f"window + {Z} contains the origin"
-    return None
 
 
 def gen_dyadic_window(n: int, Z: Site, window: Box) -> OutMap:
@@ -154,25 +152,25 @@ def gen_dyadic_window(n: int, Z: Site, window: Box) -> OutMap:
     shift, so each one has out-degree one; edges whose head leaves the window
     are dropped.
     """
-    d = window.d
     Z = tuple(int(c) for c in Z)
-    if len(Z) != d:
+    if len(Z) != window.d:
         raise SpecError("shift dimension mismatch")
     if any(c < 0 or c >= 2**n for c in Z):
-        raise SpecError(f"shift {Z} not in [0, 2^{n})^{d}")
+        raise SpecError(f"shift {Z} not in [0, 2^{n})^{window.d}")
     if why := _inadmissible(Z, window):
         raise SpecError(why)
 
-    # The axis comes from per-axis valuation tables broadcast over the window.
-    # The step leaves the window from the lowest layer along ax, where the
-    # flat index lies in the first `step` indices of its block along ax.
+    # Per-axis valuation tables broadcast over the window give the axis; the
+    # step leaves the window from the first layer of each block along it.
     tz = np.ix_(*[_trailing_zeros(np.arange(l + z, h + z + 1, dtype=np.int64))
                   for l, h, z in zip(window.lo, window.hi, Z)])
     ax = _least_axis(tz).reshape(-1)
     strides = flat_strides(window.shape)
-    step, block = strides[ax], (strides * window.shape)[ax]
-    flat = np.arange(window.n_sites, dtype=np.int64)
-    g = OutMap(window, np.where(flat % block < step, -1, flat - step))
+    out = np.arange(window.n_sites, dtype=np.int64)
+    leaves = out % (strides * window.shape)[ax] < strides[ax]
+    out -= strides[ax]
+    out[leaves] = -1
+    g = OutMap(window, out)
     g.meta = {"Z": Z, "system": np.zeros(window.n_sites, dtype=np.int64)}
     return g
 
@@ -188,11 +186,13 @@ def sample_dyadic_shift(n: int, window: Box, rng: SeededRng) -> tuple:
 
 
 def _up_steps(V: np.ndarray) -> np.ndarray:
-    """The rows v + e_a, over the rows v of V and the axes a, at which the
-    rule decrements a: every site pointing at a row of V."""
+    """The rows v + e_a, over the rows v of V (in the orthant) and the axes a,
+    at which the rule decrements a: every site pointing at a row of V."""
     d = V.shape[1]
     U = (V[:, None, :] + np.eye(d, dtype=np.int64)).reshape(-1, d)
-    return U[_dyadic_axis(U) == np.tile(np.arange(d), len(V))]
+    if U.min(initial=0) < 0:  # a coordinate wrapped past the int64 maximum
+        raise DomainError("an in-neighbor has a coordinate outside int64")
+    return U[_dyadic_axis(U) == np.arange(len(U)) % d]
 
 
 def dyadic_in_neighbors(v: Site) -> list:

@@ -156,6 +156,10 @@ def test_dyadic_domain_errors():
             with pytest.raises(DomainError):
                 fn(x)
     assert gen_dyadic_k((2**63 - 1, 2**62)) == 1
+    # an in-neighbor one step past the int64 maximum is refused, not wrapped
+    with pytest.raises(DomainError):
+        dyadic_in_neighbors((2**63 - 1, 0))
+    assert dyadic_in_neighbors((2**63 - 2, 0)) == [(2**63 - 1, 0), (2**63 - 2, 1)]
 
 
 # rows of up to 4 coordinates below 2^62, each drawn as 0, a small value, or
