@@ -162,7 +162,7 @@ def test_dyadic_domain_errors():
     assert dyadic_in_neighbors((2**63 - 2, 0)) == [(2**63 - 1, 0), (2**63 - 2, 1)]
 
 
-# rows of up to 4 coordinates below 2^62, each drawn as 0, a small value, or
+# rows of up to 4 coordinates up to 2^62, each drawn as 0, a small value, or
 # an odd number times a power of two, so that zeros and ties of valuation are common
 _coordinate = st.one_of(st.just(0), st.integers(0, 64),
                         st.builds(lambda m, e: (2 * m + 1) << e, st.integers(0, 2**20),
