@@ -143,6 +143,8 @@ def _inadmissible(Z: tuple, window: Box) -> Optional[str]:
         return f"window + {Z} leaves the nonnegative orthant"
     if not any(lo_shifted):
         return f"window + {Z} contains the origin"
+    if max(h + z for h, z in zip(window.hi, Z)) > np.iinfo(np.int64).max:
+        return f"window + {Z} has a coordinate outside int64"
 
 
 def gen_dyadic_window(n: int, Z: Site, window: Box) -> OutMap:
@@ -177,7 +179,8 @@ def gen_dyadic_window(n: int, Z: Site, window: Box) -> OutMap:
 
 def sample_dyadic_shift(n: int, window: Box, rng: SeededRng) -> tuple:
     """Uniform shift in {0..2^n-1}^d, re-drawn on the (vanishing-probability)
-    event that the shifted window hits the origin or leaves the orthant."""
+    event that the shifted window hits the origin, leaves the orthant or
+    passes the int64 maximum."""
     for attempt in range(256):
         Z = tuple(int(c) for c in rng.child("dyadic-shift", attempt).integers(0, 2**n, window.d))
         if _inadmissible(Z, window) is None:

@@ -260,11 +260,15 @@ def undirected_components(g: OutMap) -> ComponentLabeling:
 def label_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Labels 0..k-1 of the components of the undirected graph on n vertices
     with edges {src[i], dst[i]}, numbered in order of each component's least
-    vertex (Hoshen-Kopelman cluster labeling)."""
-    indptr = np.zeros(n + 1, dtype=np.int64)
+    vertex, by scipy's graph traversal.
+
+    The CSR arrays are int32, which scipy takes without checking or copying
+    them: every domain has at most ``lattice.MAX_SITES`` < 2^31 sites, and
+    every caller has fewer edges than twice that."""
+    indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     order = np.argsort(src, kind="stable")
-    mat = sp.csr_matrix((np.ones(len(src)), dst[order], indptr), shape=(n, n))
+    mat = sp.csr_matrix((np.ones(len(src)), dst[order].astype(np.int32), indptr), shape=(n, n))
     return connected_components(mat, directed=False)[1].astype(np.int64)
 
 

@@ -186,6 +186,41 @@ def closure_reference(V: Iterable, window) -> set:
     return out
 
 
+def free_pieces_reference(free: np.ndarray, wraps) -> tuple:
+    """Pure-python route to topology._free_pieces: breadth-first search over
+    the True sites of a grid, stepping off a face only on an axis that wraps,
+    which lands on the opposite face one side further along in the lift.
+    Labels in flat order, each piece numbered by its least site, and False
+    sites singletons; per label, whether it touches a face of an axis that
+    does not wrap or reaches some site at two different lifts."""
+    shape = free.shape
+    labels = np.full(shape, -1, dtype=np.int64)
+    unbounded = []
+    for s in np.ndindex(shape):  # flat order
+        if labels[s] >= 0:
+            continue
+        labels[s] = len(unbounded)
+        lift, queue, out = {s: (0,) * len(shape)}, [s], False
+        while free[s] and queue:
+            x = queue.pop(0)
+            for a, side in enumerate(shape):
+                out |= not wraps[a] and x[a] in (0, side - 1)
+                for sgn in (+1, -1):
+                    c = x[a] + sgn
+                    if not (0 <= c < side or wraps[a]):
+                        continue
+                    y = x[:a] + (c % side,) + x[a + 1:]
+                    ly = lift[x][:a] + (lift[x][a] + sgn,) + lift[x][a + 1:]
+                    if not free[y]:
+                        continue
+                    if y not in lift:
+                        lift[y], labels[y] = ly, labels[s]
+                        queue.append(y)
+                    out |= lift[y] != ly
+        unbounded.append(out)
+    return labels.reshape(-1), np.array(unbounded, dtype=bool)
+
+
 def _unbounded(comp: list, window) -> bool:
     if isinstance(window, Torus):
         return component_wraps(comp, window)

@@ -214,6 +214,9 @@ def test_dyadic_window_preconditions():
         gen_dyadic_window(10, (0, 0), Box((-3, 0), (4, 7)))  # leaves the orthant
     g = gen_dyadic_window(10, (2**9 - 1, 2**9 - 1), Box((0, 0), (2**8 - 1,) * 2))
     assert verify_theorem3_preconditions(g).ok
+    # a level above MAX_LEVEL lets the shift pass int64
+    with pytest.raises(SpecError, match=r"window \+ \(18446744073709551616, 1\) has a coordinate outside int64"):
+        gen_dyadic_window(70, (2**64, 1), Box((0, 0), (3, 3)))
 
 
 def test_dyadic_out_matches_window_rule():

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nnlab.errors import DomainError, SpecError, StructureError
-from nnlab.lattice import Box, Torus
+from nnlab.lattice import MAX_SITES, Box, Torus
 from nnlab.nngraph import (
     ExitedDomain,
     OutMap,
@@ -28,6 +28,7 @@ from nnlab.weights import sample_iid_uniform, verify_theorem3_preconditions
 
 from conftest import brute_force_components, brute_force_nn, random_outmap, small_domains, vertex_priority_digraph
 from oracles import (
+    UnionFind,
     backward_set,
     check_monotone_decreasing,
     check_targets_reference,
@@ -76,6 +77,27 @@ def test_empty_outmap_singletons():
     assert lab.n_components == dom.n_sites
     assert set(lab.sizes.tolist()) == {1}
     assert g.meta == {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))))
+def test_label_components_matches_union_find(case):
+    """label_components builds int32 CSR arrays, which hold every domain's
+    indices only while MAX_SITES < 2^31; its labels stay int64 and number
+    the union-find groups by least vertex."""
+    assert MAX_SITES < 2**31
+    n, pairs = case
+    src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    labels = label_components(n, src, dst)
+    uf = UnionFind(range(n))
+    for a, b in pairs:
+        uf.union(a, b)
+    want = np.empty(n, dtype=np.int64)
+    for c, group in enumerate(uf.groups()):  # sorted by least vertex
+        want[group] = c
+    assert labels.dtype == np.int64
+    assert np.array_equal(labels, want)
 
 
 def test_components_match_brute_force():

@@ -43,6 +43,7 @@ from oracles import (
     closure_reference,
     dual_boundary_reference,
     flood_fill_components,
+    free_pieces_reference,
     interior_dual_degrees_reference,
     plaquette_degrees_reference,
     site_components,
@@ -121,6 +122,40 @@ def test_closure_fast_matches_reference_torus(bits):
     t = Torus((6, 6))
     sites = {(i % 6, i // 6) for i in range(36) if (bits >> i) & 1}
     assert closure(sites, t) == closure_reference(sites, t)
+
+
+@st.composite
+def free_grids(draw):
+    """A grid of 1-8 x 1-8 sites, True where free."""
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    density = draw(st.sampled_from([0.0, 0.3, 0.6, 0.85, 1.0]))
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(shape) < density
+
+
+def _grid(rows: str) -> np.ndarray:
+    return np.array([[c == "." for c in row] for row in rows.split()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(free=free_grids())
+@example(free=_grid(".#.. .... #..#"))  # runs overlapping in more than one site
+@example(free=_grid("#.#. .... #.##"))  # a fully free row
+@example(free=_grid("#.# ... #.# ..#"))  # a fully free column
+@example(free=_grid(".##. ##.. #..# ..##"))  # a staircase winding +e_0 - e_1
+@example(free=_grid("..#.."))  # 1 x n
+@example(free=_grid(". . # . ."))  # n x 1
+@example(free=_grid("... ... ..."))  # all free
+@example(free=_grid("### ###"))  # all blocked
+def test_free_pieces_match_bfs_oracle(free):
+    """Under each of the four wraps pairs, the run labeling of a grid gives
+    the labels and unbounded flags of a site-by-site search with a lift per
+    wrapping axis."""
+    for wraps in [(False, False), (False, True), (True, False), (True, True)]:
+        labels, unbounded = topology._free_pieces(free, wraps)
+        want_labels, want_unbounded = free_pieces_reference(free, wraps)
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, want_labels)
+        assert np.array_equal(unbounded, want_unbounded)
 
 
 @st.composite
