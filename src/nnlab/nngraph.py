@@ -156,7 +156,7 @@ def build_nn_directed(w) -> "OutMap":
 
 @dataclass
 class ComponentLabeling:
-    """Union-find style labeling of the undirected version of an OutMap.
+    """Component labeling of the undirected version of an OutMap.
 
     Each component is a tree feeding one miniloop, longer cycle or sink;
     ``backward`` and ``cycle_len`` read that off one leaves-first peel, run
